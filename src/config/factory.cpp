@@ -194,7 +194,6 @@ control::ControlConfig make_control_config(const ScenarioSpec& spec) {
   cfg.enabled = spec.control.enabled;
   cfg.arena = spec.control.arena;
   cfg.shaper = spec.control.shaper;
-  cfg.solver = spec.control.solver;
   // The control window IS the telemetry window: the engine folds the
   // counter plane's own snapshots, so the two cannot be sized apart.
   cfg.window_ticks = spec.telemetry.window_ticks;
@@ -203,19 +202,16 @@ control::ControlConfig make_control_config(const ScenarioSpec& spec) {
   cfg.retain_max = spec.control.retain_max;
   cfg.rate_step = spec.control.rate_step;
   cfg.rate_max_multiplier = spec.control.rate_max_multiplier;
-  cfg.solver_iters_high = spec.control.solver_iters_high;
-  cfg.solver_iters_low = spec.control.solver_iters_low;
-  cfg.max_search_threads = spec.control.max_search_threads;
   return cfg;
 }
 
 control::ShardControls make_control_baseline(const ScenarioSpec& spec) {
   validate_or_throw(spec);
   control::ShardControls base;
-  // Shaper knobs start at the configured shaping section; everything else
-  // at the ShardControls defaults (LRU, unbounded retention, one search
-  // thread). A fleet-mode run never consults the shaper fields (the
-  // ShaperTunerPolicy is inert at rate 0 and the fleet has no shaper).
+  // Shaper knobs start at the configured shaping section; retention at the
+  // ShardControls default (unbounded). A fleet-mode run never consults the
+  // shaper fields (the ShaperTunerPolicy is inert at rate 0 and the fleet
+  // has no shaper).
   const fleet::ShaperOptions& sh = spec.fleet.server.options.shaping;
   base.shaper_rate = sh.rate_rounds_per_s;
   base.shaper_burst = sh.burst_rounds;

@@ -612,15 +612,11 @@ Json control_to_json(const ControlSpec& c, bool hex) {
   o.set("enabled", Json::boolean(c.enabled));
   o.set("arena", Json::boolean(c.arena));
   o.set("shaper", Json::boolean(c.shaper));
-  o.set("solver", Json::boolean(c.solver));
   o.set("evict_storm", u64_to_json(c.evict_storm));
   o.set("retain_base", u64_to_json(c.retain_base));
   o.set("retain_max", u64_to_json(c.retain_max));
   o.set("rate_step", double_to_json(c.rate_step, hex));
   o.set("rate_max_multiplier", double_to_json(c.rate_max_multiplier, hex));
-  o.set("solver_iters_high", u64_to_json(c.solver_iters_high));
-  o.set("solver_iters_low", u64_to_json(c.solver_iters_low));
-  o.set("max_search_threads", u64_to_json(c.max_search_threads));
   return o;
 }
 
@@ -629,15 +625,11 @@ void control_from_json(const Json& v, const std::string& path, ControlSpec& c) {
   r.read("enabled", c.enabled);
   r.read("arena", c.arena);
   r.read("shaper", c.shaper);
-  r.read("solver", c.solver);
   r.read("evict_storm", c.evict_storm);
   r.read("retain_base", c.retain_base);
   r.read("retain_max", c.retain_max);
   r.read("rate_step", c.rate_step);
   r.read("rate_max_multiplier", c.rate_max_multiplier);
-  r.read("solver_iters_high", c.solver_iters_high);
-  r.read("solver_iters_low", c.solver_iters_low);
-  r.read("max_search_threads", c.max_search_threads);
   r.finish();
 }
 
@@ -944,10 +936,6 @@ std::vector<std::string> validate(const ScenarioSpec& spec) {
     err("control.rate_step", "must be > 1");
   if (!finite(ctl.rate_max_multiplier) || ctl.rate_max_multiplier < 1.0)
     err("control.rate_max_multiplier", "must be >= 1");
-  if (ctl.solver_iters_high <= ctl.solver_iters_low)
-    err("control.solver_iters_high", "must be > control.solver_iters_low");
-  if (ctl.max_search_threads < 1 || ctl.max_search_threads > 1024)
-    err("control.max_search_threads", "must be in [1, 1024]");
 
   return errors;
 }

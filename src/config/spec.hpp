@@ -141,7 +141,7 @@ struct TelemetrySpec {
   // drops events — counted, never blocking the hot path.
   std::size_t ring_capacity = 1 << 15;
   // Causal round traces (telemetry.trace{}): per-round spans chaining
-  // ingest -> queue -> batch -> pipeline stages, exported as Chrome
+  // ingest -> queue -> pipeline stages, exported as Chrome
   // trace-event JSON by `uwp_run --trace-spans-out` (which force-enables
   // this). Span structure is deterministic; wall-clock timing is not.
   struct TraceSpec {
@@ -166,8 +166,8 @@ struct TelemetrySpec {
 // Control section (fleet/serve modes): the self-tuning control plane
 // (src/control/README.md). When enabled (requires telemetry.enabled), the
 // run folds each closed counter window through the policy chain and applies
-// the resulting knob bundle — arena cache policy/retention, shaper
-// rate/burst/defer budget, solver search threads. The window length is the
+// the resulting knob bundle — arena free-list retention and the shaper's
+// rate/burst/defer budget. The window length is the
 // telemetry window (telemetry.window_ticks); every decision is a pure
 // function of (window index, counter snapshot, this section), so the
 // emitted ControlLog is byte-identical at any shard/worker/thread count.
@@ -176,7 +176,6 @@ struct ControlSpec {
   // Per-policy gates (all pure subsets of the same fold).
   bool arena = true;
   bool shaper = true;
-  bool solver = true;
   // Arena tuner: evictions per window that count as a storm, and the
   // retention band (free-list entries kept per group size).
   std::uint64_t evict_storm = 8;
@@ -186,11 +185,6 @@ struct ControlSpec {
   // (baseline rate x multiplier).
   double rate_step = 1.25;
   double rate_max_multiplier = 4.0;
-  // Solver tuner: mean solver iterations per round above/below which the
-  // pruned-search thread count doubles/halves.
-  std::uint64_t solver_iters_high = 400;
-  std::uint64_t solver_iters_low = 64;
-  std::size_t max_search_threads = 8;
 };
 
 struct ScenarioSpec {

@@ -17,24 +17,8 @@ bool dbits_equal(double a, double b) {
 
 }  // namespace
 
-const char* to_string(CachePolicy p) {
-  switch (p) {
-    case CachePolicy::kLru:
-      return "lru";
-    case CachePolicy::kLfu:
-      return "lfu";
-    case CachePolicy::kCostAware:
-      return "cost_aware";
-    case CachePolicy::kCount_:
-      break;
-  }
-  return "unknown";
-}
-
 const char* to_string(ActionKind k) {
   switch (k) {
-    case ActionKind::kArenaCachePolicy:
-      return "arena_cache_policy";
     case ActionKind::kArenaRetain:
       return "arena_retain";
     case ActionKind::kShaperRate:
@@ -43,8 +27,6 @@ const char* to_string(ActionKind k) {
       return "shaper_burst";
     case ActionKind::kShaperMaxDefers:
       return "shaper_max_defers";
-    case ActionKind::kSearchThreads:
-      return "search_threads";
     case ActionKind::kCount_:
       break;
   }
@@ -56,11 +38,10 @@ bool bit_equal(const ControlAction& a, const ControlAction& b) {
 }
 
 bool bit_equal(const ShardControls& a, const ShardControls& b) {
-  return a.cache_policy == b.cache_policy && a.arena_retain == b.arena_retain &&
+  return a.arena_retain == b.arena_retain &&
          dbits_equal(a.shaper_rate, b.shaper_rate) &&
          dbits_equal(a.shaper_burst, b.shaper_burst) &&
-         a.shaper_max_defers == b.shaper_max_defers &&
-         a.search_threads == b.search_threads;
+         a.shaper_max_defers == b.shaper_max_defers;
 }
 
 }  // namespace uwp::control

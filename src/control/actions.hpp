@@ -13,31 +13,13 @@
 
 namespace uwp::control {
 
-// Warm-pipeline cache replacement policy for fleet::ShardArena's free lists.
-//   kLru       — exact-size match, most recently released first (the arena's
-//                historical behavior; the control-off default).
-//   kLfu       — exact-size match, most-reused entry first (keeps the
-//                hottest pipelines warm under churn).
-//   kCostAware — exact-size first, else the nearest larger entry within a
-//                small size window (pays a rebind instead of a cold build
-//                when the workload's group-size mix drifts).
-enum class CachePolicy : std::uint8_t {
-  kLru = 0,
-  kLfu,
-  kCostAware,
-  kCount_,
-};
-const char* to_string(CachePolicy p);
-
 // One knob per action kind; `value` is the new setting (integral knobs are
 // stored as exact small doubles, so the encoding round-trips bit-exactly).
 enum class ActionKind : std::uint8_t {
-  kArenaCachePolicy = 0,  // value = CachePolicy enum value
-  kArenaRetain,           // value = retained free entries per size (0 = all)
-  kShaperRate,            // value = token-bucket rate, rounds/sec (0 = off)
-  kShaperBurst,           // value = token-bucket burst, rounds
-  kShaperMaxDefers,       // value = defer budget before a frame sheds
-  kSearchThreads,         // value = OutlierOptions::search_threads
+  kArenaRetain = 0,  // value = retained free entries per size (0 = all)
+  kShaperRate,       // value = token-bucket rate, rounds/sec (0 = off)
+  kShaperBurst,      // value = token-bucket burst, rounds
+  kShaperMaxDefers,  // value = defer budget before a frame sheds
   kCount_,
 };
 inline constexpr std::size_t kActionKindCount =
@@ -48,7 +30,7 @@ const char* to_string(ActionKind k);
 // `value`. A ControlLog is a flat sequence of these.
 struct ControlAction {
   std::uint64_t window = 0;
-  ActionKind kind = ActionKind::kArenaCachePolicy;
+  ActionKind kind = ActionKind::kArenaRetain;
   double value = 0.0;
 };
 
@@ -58,12 +40,10 @@ bool bit_equal(const ControlAction& a, const ControlAction& b);
 // the engine seeds this from the spec-derived baseline and policies nudge
 // it at window boundaries.
 struct ShardControls {
-  CachePolicy cache_policy = CachePolicy::kLru;
   std::size_t arena_retain = 0;  // free entries kept per group size; 0 = all
   double shaper_rate = 0.0;      // rounds/sec admitted; 0 disables the bucket
   double shaper_burst = 8.0;     // bucket depth in rounds
   std::size_t shaper_max_defers = 8;
-  std::size_t search_threads = 1;
 };
 
 bool bit_equal(const ShardControls& a, const ShardControls& b);

@@ -25,8 +25,6 @@ ControlEngine::ControlEngine(const ControlConfig& cfg,
   if (cfg_.arena) policies_.push_back(std::make_unique<ArenaTunerPolicy>(cfg_));
   if (cfg_.shaper)
     policies_.push_back(std::make_unique<ShaperTunerPolicy>(cfg_, baseline));
-  if (cfg_.solver)
-    policies_.push_back(std::make_unique<SolverTunerPolicy>(cfg_));
 }
 
 void ControlEngine::bind_stream(telemetry::ShardStream* stream,
@@ -52,9 +50,6 @@ void ControlEngine::observe_window(std::uint64_t window,
     log_.actions.push_back(ControlAction{window, kind, value});
     ++emitted;
   };
-  if (next.cache_policy != controls_.cache_policy)
-    emit(ActionKind::kArenaCachePolicy,
-         static_cast<double>(static_cast<std::uint8_t>(next.cache_policy)));
   if (next.arena_retain != controls_.arena_retain)
     emit(ActionKind::kArenaRetain, static_cast<double>(next.arena_retain));
   if (!dbits_equal(next.shaper_rate, controls_.shaper_rate))
@@ -64,8 +59,6 @@ void ControlEngine::observe_window(std::uint64_t window,
   if (next.shaper_max_defers != controls_.shaper_max_defers)
     emit(ActionKind::kShaperMaxDefers,
          static_cast<double>(next.shaper_max_defers));
-  if (next.search_threads != controls_.search_threads)
-    emit(ActionKind::kSearchThreads, static_cast<double>(next.search_threads));
 
   controls_ = next;
   ++log_.windows_observed;

@@ -14,6 +14,8 @@ namespace {
 // its own (the formats are independent anyway — different magic/version).
 constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
+// Encoded action: u64 window + u8 kind + u64 value bits.
+constexpr std::size_t kActionRecordBytes = 17;
 
 std::uint64_t fnv_u64(std::uint64_t h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -129,7 +131,11 @@ ControlLog read_control_log(std::istream& in) {
   ControlLog log;
   log.windows_observed = r.u64();
   const std::uint64_t n = r.u64();
-  log.actions.reserve(n);
+  // The count is untrusted: never reserve more records than the remaining
+  // bytes can hold.
+  if (n > (buf.size() - r.pos) / kActionRecordBytes)
+    throw std::runtime_error("control log: action count exceeds input");
+  log.actions.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {
     ControlAction a;
     a.window = r.u64();

@@ -18,7 +18,7 @@
 namespace uwp::control {
 
 inline constexpr std::uint32_t kControlLogMagic = 0x4C435755u;  // "UWCL"
-inline constexpr std::uint16_t kControlLogVersion = 1;
+inline constexpr std::uint16_t kControlLogVersion = 2;
 
 struct ControlLog {
   std::vector<ControlAction> actions;
@@ -33,7 +33,8 @@ bool bit_equal(const ControlLog& a, const ControlLog& b);
 std::uint64_t control_log_digest(const ControlLog& log);
 
 // Binary codec. write never fails silently; read throws std::runtime_error
-// on bad magic/version or a truncated stream.
+// on bad magic/version, a truncated stream, or an action count larger than
+// the remaining bytes could hold.
 void write_control_log(std::ostream& out, const ControlLog& log);
 ControlLog read_control_log(std::istream& in);
 

@@ -17,8 +17,6 @@ void ArenaTunerPolicy::observe(std::uint64_t /*window*/,
   using telemetry::Counter;
   const std::uint64_t admits = get(snap, Counter::kAdmits);
   const std::uint64_t evicts = get(snap, Counter::kEvicts);
-  const std::uint64_t admit_dev = get(snap, Counter::kAdmitDevices);
-  const std::uint64_t evict_dev = get(snap, Counter::kEvictDevices);
 
   if (evicts >= cfg_.evict_storm) {
     // Storm: double retention so the wave of released pipelines survives to
@@ -31,19 +29,6 @@ void ArenaTunerPolicy::observe(std::uint64_t /*window*/,
     // Idle: decay halfway back toward the base so a one-off storm doesn't
     // pin memory forever.
     c.arena_retain = std::max(cfg_.retain_base, c.arena_retain / 2);
-  }
-
-  if (admits > 0 && evicts > 0) {
-    // Mix drift: cross-multiplied integer compare of mean admitted group
-    // size (admit_dev/admits) vs mean evicted size (evict_dev/evicts);
-    // > 9/8 relative divergence counts as drift. Integer math keeps the
-    // decision platform-exact.
-    const std::uint64_t lhs = admit_dev * evicts;
-    const std::uint64_t rhs = evict_dev * admits;
-    const std::uint64_t hi = std::max(lhs, rhs);
-    const std::uint64_t lo = std::min(lhs, rhs);
-    const bool drift = hi * 8 > lo * 9;
-    c.cache_policy = drift ? CachePolicy::kCostAware : CachePolicy::kLfu;
   }
 }
 
@@ -72,20 +57,6 @@ void ShaperTunerPolicy::observe(std::uint64_t /*window*/,
     c.shaper_burst = std::max(base_.shaper_burst, c.shaper_burst - 2.0);
     if (c.shaper_max_defers > base_.shaper_max_defers)
       c.shaper_max_defers = c.shaper_max_defers - 1;
-  }
-}
-
-void SolverTunerPolicy::observe(std::uint64_t /*window*/,
-                                const telemetry::Snapshot& snap,
-                                ShardControls& c) {
-  using telemetry::Counter;
-  const std::uint64_t rounds = get(snap, Counter::kRounds);
-  if (rounds == 0) return;
-  const std::uint64_t pressure = get(snap, Counter::kSolverIterations) / rounds;
-  if (pressure > cfg_.solver_iters_high) {
-    c.search_threads = std::min(cfg_.max_search_threads, c.search_threads * 2);
-  } else if (pressure < cfg_.solver_iters_low && c.search_threads > 1) {
-    c.search_threads = std::max<std::size_t>(1, c.search_threads / 2);
   }
 }
 

@@ -1,4 +1,4 @@
-// The three built-in control policies.
+// The two built-in control policies.
 //
 // Each one reads only deterministic counters from the merged window
 // Snapshot and nudges one knob group in ShardControls. They hold no mutable
@@ -11,13 +11,9 @@
 
 namespace uwp::control {
 
-// Arena tuner: free-list retention + cache policy from churn signals.
+// Arena tuner: free-list retention from churn signals.
 //   * evict storm (kEvicts >= evict_storm per window) — double retention
 //     toward retain_max so evicted pipelines stay warm for readmissions.
-//   * churn with a drifting group-size mix (mean admitted size diverges
-//     from mean evicted size) — switch to kCostAware, which serves
-//     near-size entries at a rebind cost instead of building cold.
-//   * churn with a stable mix — kLfu keeps the most-reused pipelines.
 //   * idle window — decay retention halfway back toward retain_base.
 class ArenaTunerPolicy final : public Policy {
  public:
@@ -47,22 +43,6 @@ class ShaperTunerPolicy final : public Policy {
  private:
   ControlConfig cfg_;
   ShardControls base_;
-};
-
-// Solver tuner: OutlierOptions::search_threads from SMACOF iteration
-// pressure (iterations per executed round). Doubles the pruned-search
-// fan-out above solver_iters_high, folds back toward 1 below
-// solver_iters_low. Result-neutral: the parallel pruned search is
-// bit-identical at any thread count.
-class SolverTunerPolicy final : public Policy {
- public:
-  explicit SolverTunerPolicy(const ControlConfig& cfg) : cfg_(cfg) {}
-  const char* name() const override { return "solver_tuner"; }
-  void observe(std::uint64_t window, const telemetry::Snapshot& snap,
-               ShardControls& controls) override;
-
- private:
-  ControlConfig cfg_;
 };
 
 }  // namespace uwp::control

@@ -20,10 +20,9 @@ namespace uwp::control {
 // Engine + policy tuning knobs, spec-derived (config::make_control_config).
 struct ControlConfig {
   bool enabled = false;
-  // Per-policy enables: the three built-ins can be gated independently.
+  // Per-policy enables: the two built-ins can be gated independently.
   bool arena = true;
   bool shaper = true;
-  bool solver = true;
   // Decision cadence in telemetry windows of virtual time. The fleet driver
   // uses this directly as ticks-per-window; serve mode scales by
   // tick_period_s exactly like the telemetry factory does.
@@ -37,11 +36,6 @@ struct ControlConfig {
   // the ceiling as a multiple of the spec's baseline rate.
   double rate_step = 1.25;
   double rate_max_multiplier = 4.0;
-  // SolverTunerPolicy: SMACOF iterations per round above which the pruned
-  // outlier search fans out, and below which it folds back in.
-  std::uint64_t solver_iters_high = 400;
-  std::uint64_t solver_iters_low = 64;
-  std::size_t max_search_threads = 8;
 };
 
 class Policy {

@@ -98,12 +98,9 @@ ServerResult Server::serve(Transport& transport, SessionRecorder* recorder,
 
     const auto process = [&](WorkItem& item) {
       if (item.control != nullptr) {
-        // Knob broadcast from a control boundary: retune the arena and the
-        // live pipelines. All of these are result-neutral.
-        arena.set_controls(*item.control);
-        for (std::unique_ptr<WorkerSession>& slot : mine)
-          if (slot != nullptr && slot->active && slot->rt != nullptr)
-            slot->rt->pipe.set_search_threads(item.control->search_threads);
+        // Knob broadcast from a control boundary: retune the arena's
+        // retention (result-neutral).
+        arena.set_retain(item.control->arena_retain);
         return;
       }
       const std::uint64_t id = item.frame.session_id;

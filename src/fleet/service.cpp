@@ -57,12 +57,10 @@ FleetResult FleetService::run(SessionRecorder* recorder,
 
   // Per-shard state persists across chunks: the control loop slices the
   // tick timeline into window-length chunks with a quiesce point between
-  // them, and sessions/arenas/planes must carry over.
+  // them, and sessions/arenas must carry over.
   struct ShardState {
     std::vector<Session> sessions;
     std::vector<std::size_t> ids;
-    pipeline::BatchPlane plane;
-    std::vector<Session*> enqueued;
   };
   std::vector<ShardState> states(shards);
   for (std::size_t shard = 0; shard < shards; ++shard) {
@@ -77,37 +75,19 @@ FleetResult FleetService::run(SessionRecorder* recorder,
   // in id order. Sessions are independent and the recorder's per-session
   // buffers are disjoint, so shards share nothing mutable (each telemetry
   // stream has exactly one producer: its shard). `apply` folds the engine's
-  // current knob bundle in first — every fleet-side knob is result-neutral,
-  // so sessions admitted mid-chunk (which run with the previous bundle
-  // until the next boundary) cannot perturb FleetResult either.
+  // current arena retention in first — it is result-neutral, so sessions
+  // admitted mid-chunk (which run with the previous setting until the next
+  // boundary) cannot perturb FleetResult either.
   const auto run_chunk = [&](std::size_t shard, std::size_t tick_begin,
                              std::size_t tick_end, bool apply) {
     ShardState& st = states[shard];
     telemetry::ShardStream* const tel = col != nullptr ? &col->stream(shard) : nullptr;
     arenas[shard].set_telemetry(tel);
-    if (apply) {
-      arenas[shard].set_controls(engine->controls());
-      for (Session& s : st.sessions) s.apply_controls(engine->controls());
-    }
+    if (apply) arenas[shard].set_retain(engine->controls().arena_retain);
     std::vector<double>* lat = opts_.measure_latency ? &shard_latencies[shard] : nullptr;
     for (std::size_t tick = tick_begin; tick < tick_end; ++tick) {
       if (tel != nullptr) tel->set_time(static_cast<double>(tick));
-      if (!opts_.batch_rounds) {
-        for (Session& s : st.sessions) s.tick(tick, arenas[shard], recorder, lat, tel);
-        continue;
-      }
-      // Batched tick: collect every session's pending round, run them all
-      // stage-sliced through the SoA plane, then fold outputs back in the
-      // same session order the reference loop uses.
-      st.plane.clear();
-      st.enqueued.clear();
-      for (Session& s : st.sessions)
-        if (s.begin_tick(tick, arenas[shard], recorder, st.plane, tel))
-          st.enqueued.push_back(&s);
-      st.plane.execute(opts_.measure_latency);
-      const std::span<const pipeline::BatchSlot> slots = st.plane.slots();
-      for (std::size_t k = 0; k < st.enqueued.size(); ++k)
-        st.enqueued[k]->finish_tick(slots[k], arenas[shard], recorder, lat, tel);
+      for (Session& s : st.sessions) s.tick(tick, arenas[shard], recorder, lat, tel);
     }
   };
 
@@ -165,10 +145,6 @@ FleetResult FleetService::run(SessionRecorder* recorder,
   for (const ShardArena& a : arenas) {
     arena_stats_.leases += a.leases();
     arena_stats_.reuses += a.reuses();
-    for (const ShardArena::SizeStats& s : a.size_stats()) {
-      arena_stats_.free_hits += s.hits;
-      arena_stats_.free_misses += s.misses;
-    }
   }
 
   FleetResult out = finalize_fleet_result(std::move(metrics));

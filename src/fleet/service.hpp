@@ -36,12 +36,6 @@ struct FleetOptions {
   // Record the wall-clock of every run_round call into
   // FleetResult::round_latency_s (for the bench's p50/p99 reporting).
   bool measure_latency = false;
-  // Gather every session's round on a tick into one pipeline::BatchPlane
-  // and run them stage-sliced in struct-of-arrays groups (the throughput
-  // path). Results are bit-identical to the per-session path — grouping is
-  // a memory layout choice, not a scheduling one — so this is a pure perf
-  // knob; false keeps the one-session-at-a-time reference loop.
-  bool batch_rounds = true;
 };
 
 class FleetService {
@@ -66,9 +60,9 @@ class FleetService {
   // count. `engine`, when given (requires enabled telemetry — throws
   // std::invalid_argument otherwise), turns the run into window-length
   // chunks: at each window boundary every shard quiesces, the engine folds
-  // the closed window's merged counter snapshot, and the resulting knob
-  // bundle is applied to every shard before the next chunk. All fleet-side
-  // knobs are result-neutral, so FleetResult stays bit-identical to the
+  // the closed window's merged counter snapshot, and the resulting arena
+  // retention is applied to every shard before the next chunk. Retention is
+  // result-neutral, so FleetResult stays bit-identical to the
   // uncontrolled run and across shard counts; the ControlLog is likewise
   // shard-count invariant. Thread-safe internally; call from one thread.
   FleetResult run(SessionRecorder* recorder = nullptr,
@@ -76,15 +70,11 @@ class FleetService {
                   control::ControlEngine* engine = nullptr) const;
 
   // Arena accounting of the last run (summed over shards): how many session
-  // admissions there were, how many were served by rebinding an evicted
-  // session's warm pipeline instead of allocating a fresh one, and the
-  // free-list hit/miss split underneath (hits == reuses; misses are cold
-  // constructions).
+  // admissions there were, and how many were served by rebinding an evicted
+  // session's warm pipeline instead of allocating a fresh one.
   struct ArenaStats {
     std::size_t leases = 0;
     std::size_t reuses = 0;
-    std::size_t free_hits = 0;
-    std::size_t free_misses = 0;
   };
   const ArenaStats& arena_stats() const { return arena_stats_; }
 

@@ -84,95 +84,44 @@ FleetResult finalize_fleet_result(std::vector<SessionMetrics> sessions) {
 
 // --- ShardArena -------------------------------------------------------------
 
-ShardArena::SizeStats& ShardArena::stats_for(std::size_t size) {
-  if (size >= stats_by_size_.size()) stats_by_size_.resize(size + 1);
-  return stats_by_size_[size];
-}
-
-std::unique_ptr<SessionRuntime> ShardArena::take(std::size_t size,
-                                                 std::size_t slot) {
-  std::vector<FreeSlot>& list = free_by_size_[size];
-  std::unique_ptr<SessionRuntime> rt = std::move(list[slot].rt);
-  list.erase(list.begin() + static_cast<std::ptrdiff_t>(slot));
-  ++rt->arena_reuses;
-  ++reuses_;
-  return rt;
-}
-
 std::unique_ptr<SessionRuntime> ShardArena::lease(const pipeline::PipelineOptions& opts) {
   ++leases_;
   if (telemetry_ != nullptr) telemetry_->count(telemetry::Counter::kArenaLeases);
   const std::size_t n = opts.protocol.num_devices;
 
-  // Pick a free slot under the active cache policy. Exact-size entries need
-  // only a rebind to *equal* options; the cost-aware fallback additionally
-  // considers slightly larger entries (their workspaces shrink-fit), paying
-  // an explicit rebind-cost sample instead of a cold construction.
-  std::size_t from_size = free_by_size_.size();  // sentinel: miss
-  std::size_t slot = 0;
   if (n < free_by_size_.size() && !free_by_size_[n].empty()) {
-    const std::vector<FreeSlot>& list = free_by_size_[n];
-    from_size = n;
-    slot = list.size() - 1;  // kLru: most recently released
-    if (controls_.cache_policy == control::CachePolicy::kLfu) {
-      for (std::size_t i = 0; i < list.size(); ++i) {
-        const bool better = list[i].reuses > list[slot].reuses ||
-                            (list[i].reuses == list[slot].reuses &&
-                             list[i].seq > list[slot].seq);
-        if (better) slot = i;
-      }
-    }
-  } else if (controls_.cache_policy == control::CachePolicy::kCostAware) {
-    for (std::size_t m = n + 1; m <= n + 2 && m < free_by_size_.size(); ++m) {
-      if (free_by_size_[m].empty()) continue;
-      from_size = m;
-      slot = free_by_size_[m].size() - 1;
-      break;
-    }
-  }
-
-  SizeStats& stats = stats_for(n);
-  if (from_size < free_by_size_.size()) {
-    const std::size_t cost = from_size - n;
-    std::unique_ptr<SessionRuntime> rt = take(from_size, slot);
+    std::unique_ptr<SessionRuntime> rt = std::move(free_by_size_[n].back());
+    free_by_size_[n].pop_back();
     rt->pipe.rebind(opts);
-    rt->pipe.set_search_threads(controls_.search_threads);
-    ++stats.hits;
-    stats.rebind_cost += cost;
+    ++reuses_;
     if (telemetry_ != nullptr) {
       telemetry_->sample(telemetry::Sample::kArenaReuse, 1.0);
       telemetry_->sample(telemetry::Sample::kArenaFreeHit, double(n));
-      telemetry_->sample(telemetry::Sample::kArenaRebindCost, double(cost));
     }
     return rt;
   }
 
-  ++stats.misses;
   if (telemetry_ != nullptr)
     telemetry_->sample(telemetry::Sample::kArenaFreeMiss, double(n));
-  std::unique_ptr<SessionRuntime> rt = std::make_unique<SessionRuntime>(opts);
-  rt->pipe.set_search_threads(controls_.search_threads);
-  return rt;
+  return std::make_unique<SessionRuntime>(opts);
 }
 
 void ShardArena::release(std::unique_ptr<SessionRuntime> rt) {
   if (rt == nullptr) return;
   const std::size_t n = rt->pipe.options().protocol.num_devices;
   if (n >= free_by_size_.size()) free_by_size_.resize(n + 1);
-  std::vector<FreeSlot>& list = free_by_size_[n];
-  list.push_back(FreeSlot{std::move(rt), next_seq_++, 0});
-  list.back().reuses = list.back().rt->arena_reuses;
-  if (controls_.arena_retain > 0 && list.size() > controls_.arena_retain)
-    list.erase(list.begin());  // drop the oldest (smallest seq by invariant)
+  free_by_size_[n].push_back(std::move(rt));
+  trim(free_by_size_[n]);
 }
 
-void ShardArena::set_controls(const control::ShardControls& controls) {
-  controls_ = controls;
-  if (controls_.arena_retain == 0) return;
-  for (std::vector<FreeSlot>& list : free_by_size_)
-    if (list.size() > controls_.arena_retain)
-      list.erase(list.begin(),
-                 list.end() - static_cast<std::ptrdiff_t>(controls_.arena_retain));
+void ShardArena::set_retain(std::size_t per_size) {
+  retain_ = per_size;
+  for (std::vector<std::unique_ptr<SessionRuntime>>& list : free_by_size_) trim(list);
+}
+
+void ShardArena::trim(std::vector<std::unique_ptr<SessionRuntime>>& list) const {
+  if (retain_ > 0 && list.size() > retain_)
+    list.erase(list.begin(), list.end() - static_cast<std::ptrdiff_t>(retain_));
 }
 
 pipeline::PipelineOptions pipeline_options_for(const sim::GroupScenario& sc) {
@@ -297,11 +246,6 @@ void Session::admit(ShardArena& arena, SessionRecorder* recorder,
   }
 }
 
-void Session::apply_controls(const control::ShardControls& controls) {
-  if (state_ != SessionState::kActive || rt_ == nullptr) return;
-  rt_->pipe.set_search_threads(controls.search_threads);
-}
-
 void Session::run_event(ShardArena& arena, SessionRecorder* recorder,
                         std::vector<double>* latencies,
                         telemetry::ShardStream* telemetry) {
@@ -357,47 +301,6 @@ void Session::maybe_evict(ShardArena& arena, SessionRecorder* recorder,
     telemetry->count(telemetry::Counter::kEvictDevices,
                      sc_->scene.protocol.num_devices);
   }
-}
-
-bool Session::begin_tick(std::size_t tick, ShardArena& arena, SessionRecorder* recorder,
-                         pipeline::BatchPlane& plane,
-                         telemetry::ShardStream* telemetry) {
-  if (state_ == SessionState::kEvicted) return false;
-  if (state_ == SessionState::kPending) {
-    if (tick < sc_->admit_tick) return false;
-    admit(arena, recorder, telemetry);
-  }
-
-  const double dt = feed_.next_dt_s();
-  if (feed_.next(rt_->meas) == MeasurementFeed::Event::kCoast) {
-    rt_->pipe.coast(dt);
-    metrics_.note_coast();
-    if (recorder != nullptr) recorder->on_coast(sc_->session_id, dt);
-    if (telemetry != nullptr) telemetry->count(telemetry::Counter::kCoasts);
-    maybe_evict(arena, recorder, telemetry);
-    return false;
-  }
-
-  // The measurement is captured pre-quantization, exactly as in run_event
-  // (the batch plane's quantize stage mutates it in place afterwards).
-  if (recorder != nullptr)
-    recorder->on_measurement(sc_->session_id, static_cast<std::uint32_t>(metrics_.rounds),
-                             dt, rt_->meas);
-  if (telemetry != nullptr && telemetry->trace_enabled())
-    rt_->pipe.set_trace(
-        telemetry::make_trace_id(sc_->session_id, metrics_.rounds));
-  plane.enqueue(rt_->pipe, rt_->meas, solve_rng_, dt);
-  return true;
-}
-
-void Session::finish_tick(const pipeline::BatchSlot& slot, ShardArena& arena,
-                          SessionRecorder* recorder, std::vector<double>* latencies,
-                          telemetry::ShardStream* telemetry) {
-  if (latencies != nullptr) latencies->push_back(slot.latency_s);
-  const std::uint32_t round_index = static_cast<std::uint32_t>(metrics_.rounds);
-  metrics_.note_round(*slot.out);
-  record_round(*slot.out, round_index, recorder);
-  maybe_evict(arena, recorder, telemetry);
 }
 
 void Session::tick(std::size_t tick, ShardArena& arena, SessionRecorder* recorder,

@@ -21,10 +21,8 @@
 #include <memory>
 #include <vector>
 
-#include "control/actions.hpp"
 #include "des/mobility.hpp"
 #include "fleet/wire.hpp"
-#include "pipeline/batch_plane.hpp"
 #include "pipeline/closed_form.hpp"
 #include "pipeline/round_pipeline.hpp"
 #include "sim/fleet_workload.hpp"
@@ -103,11 +101,9 @@ FleetResult finalize_fleet_result(std::vector<SessionMetrics> sessions);
 // --- arena ------------------------------------------------------------------
 
 // One leased runtime slot: a pipeline plus the measurement buffer it churns.
-// `arena_reuses` counts free-list round trips (the arena's LFU key).
 struct SessionRuntime {
   pipeline::RoundPipeline pipe;
   pipeline::RoundMeasurement meas;
-  std::uint64_t arena_reuses = 0;
 
   explicit SessionRuntime(const pipeline::PipelineOptions& opts) : pipe(opts) {}
 };
@@ -115,15 +111,14 @@ struct SessionRuntime {
 // Per-shard free list of SessionRuntimes keyed by group size: an evicted
 // session's pipeline is rebound to the next admitted group of the same size
 // instead of reallocated, so steady-state churn performs near-zero heap
-// allocation inside the solver stack. Single-threaded by construction (one
-// arena per shard, shards never share sessions).
+// allocation inside the solver stack. A lease takes the most recently
+// released runtime of the requested size. Single-threaded by construction
+// (one arena per shard, shards never share sessions).
 //
-// The free lists are the control plane's cache: set_controls() switches the
-// replacement policy (LRU exact-LIFO, the historical default; LFU
-// most-reused-first; cost-aware near-size rebinds) and caps per-size
-// retention. Every knob is result-neutral — a leased pipeline is rebound to
-// the requested options either way, so FleetResult cannot tell policies
-// apart; only reuse rates and wall-clock change.
+// Per-size retention is the control plane's one arena knob
+// (set_retain). It is result-neutral — a leased pipeline is rebound to the
+// requested options either way, so FleetResult cannot tell retention
+// settings apart; only reuse rates, memory, and wall-clock change.
 class ShardArena {
  public:
   std::unique_ptr<SessionRuntime> lease(const pipeline::PipelineOptions& opts);
@@ -132,46 +127,24 @@ class ShardArena {
   std::size_t leases() const { return leases_; }
   std::size_t reuses() const { return reuses_; }
 
-  // Apply a control-plane knob bundle: cache policy, per-size retention
-  // (trimming oversized free lists immediately, oldest first), and the
-  // search_threads applied to every subsequently leased pipeline.
-  void set_controls(const control::ShardControls& controls);
-  const control::ShardControls& controls() const { return controls_; }
-
-  // Per-group-size free-list accounting (hits/misses/summed |size delta|
-  // paid on near-size rebinds), for tests and offline tuning.
-  struct SizeStats {
-    std::size_t hits = 0;
-    std::size_t misses = 0;
-    std::size_t rebind_cost = 0;
-  };
-  const std::vector<SizeStats>& size_stats() const { return stats_by_size_; }
+  // Cap the free entries kept per group size (0 = keep all), trimming
+  // oversized free lists immediately, oldest first.
+  void set_retain(std::size_t per_size);
 
   // Attach the owning shard's telemetry stream (nullptr = off). lease()
   // then counts every lease (deterministic: leases == admissions) and
-  // samples free-list hits/misses and rebind costs (run-varying: reuse
-  // depends on the shard's own eviction interleaving, so it stays out of
-  // the counters plane).
+  // samples free-list hits/misses (run-varying: reuse depends on the
+  // shard's own eviction interleaving, so it stays out of the counters
+  // plane).
   void set_telemetry(telemetry::ShardStream* stream) { telemetry_ = stream; }
 
  private:
-  // One retained runtime: `seq` orders releases (LRU evicts the smallest,
-  // LFU tie-breaks toward the largest), `reuses` counts free-list round
-  // trips (the LFU key).
-  struct FreeSlot {
-    std::unique_ptr<SessionRuntime> rt;
-    std::uint64_t seq = 0;
-    std::uint64_t reuses = 0;
-  };
-
-  std::unique_ptr<SessionRuntime> take(std::size_t size, std::size_t slot);
-  SizeStats& stats_for(std::size_t size);
+  void trim(std::vector<std::unique_ptr<SessionRuntime>>& list) const;
 
   // Group sizes are tiny integers; a flat per-size free list beats a map.
-  std::vector<std::vector<FreeSlot>> free_by_size_;
-  std::vector<SizeStats> stats_by_size_;
-  control::ShardControls controls_;
-  std::uint64_t next_seq_ = 0;
+  // Each list is in release order, oldest first.
+  std::vector<std::vector<std::unique_ptr<SessionRuntime>>> free_by_size_;
+  std::size_t retain_ = 0;
   std::size_t leases_ = 0;
   std::size_t reuses_ = 0;
   telemetry::ShardStream* telemetry_ = nullptr;
@@ -247,27 +220,6 @@ class Session {
   void tick(std::size_t tick, ShardArena& arena, SessionRecorder* recorder,
             std::vector<double>* latencies,
             telemetry::ShardStream* telemetry = nullptr);
-
-  // Batched tick, split in two so a shard can gather every session's round
-  // into one pipeline::BatchPlane per tick. begin_tick handles the
-  // non-round half of tick() — admission, coast, the recorder's
-  // pre-quantization measurement capture — and enqueues the round onto
-  // `plane` instead of running it; it returns true iff a round was
-  // enqueued. After plane.execute(), call finish_tick with this session's
-  // slot to fold in the outputs and evict exactly as tick() would have.
-  // begin_tick(t) + execute + finish_tick is bit-identical to tick(t):
-  // stages only touch this session's pipeline/rng, so metrics, digests,
-  // traces and counters cannot tell the two schedules apart.
-  bool begin_tick(std::size_t tick, ShardArena& arena, SessionRecorder* recorder,
-                  pipeline::BatchPlane& plane,
-                  telemetry::ShardStream* telemetry = nullptr);
-  void finish_tick(const pipeline::BatchSlot& slot, ShardArena& arena,
-                   SessionRecorder* recorder, std::vector<double>* latencies,
-                   telemetry::ShardStream* telemetry = nullptr);
-
-  // Apply the control plane's result-neutral pipeline knobs to a live
-  // session (no-op unless active). Called at control-window boundaries.
-  void apply_controls(const control::ShardControls& controls);
 
  private:
   void admit(ShardArena& arena, SessionRecorder* recorder,

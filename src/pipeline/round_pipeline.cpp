@@ -51,12 +51,6 @@ void RoundPipeline::rebind(const PipelineOptions& opts) {
   warm_valid_ = false;
 }
 
-void RoundPipeline::set_search_threads(std::size_t n) {
-  if (n == 0 || n == opts_.localizer.outlier.search_threads) return;
-  opts_.localizer.outlier.search_threads = n;
-  localizer_ = core::Localizer(opts_.localizer);
-}
-
 bool RoundPipeline::tracing() const {
   return trace_id_ != 0 && telemetry_ != nullptr &&
          telemetry_->trace_enabled();
@@ -80,66 +74,49 @@ void RoundPipeline::coast(double dt_s) {
 
 const RoundOutput& RoundPipeline::run_round(RoundMeasurement& m, uwp::Rng& rng,
                                             double dt_s) {
-  begin_round(dt_s);
-  stage_quantize(m);
-  stage_ranging(m);
-  stage_localize(m, rng, out_.ranging.distances.data(), out_.ranging.weights.data());
-  stage_track(m);
-  return finish_round();
-}
+  const std::size_t n = opts_.protocol.num_devices;
+  const double round_ts0 = trace_begin();
+  double elapsed = 0.0;  // summed stage spans for the kRound span
 
-void RoundPipeline::begin_round(double dt_s) {
-  round_elapsed_ = 0.0;
-  trace_ts0_ = trace_begin();
   // Tracker prediction runs first (it used to sit with the update after
   // localization — same predict/update sequence either way) so the predicted
   // geometry can warm-start the localize stage.
   if (opts_.track) {
     telemetry::SpanTimer span(telemetry_, telemetry::Stage::kTrack);
     tracker_.predict(dt_s);
-    round_elapsed_ += span.stop();
+    elapsed += span.stop();
   }
-}
 
-void RoundPipeline::stage_quantize(RoundMeasurement& m) {
   // Payload quantization (§2.4): timestamps ride to the leader as 10-bit
   // slot-relative deltas at 2-sample resolution.
-  const double tts = trace_begin();
-  telemetry::SpanTimer span(telemetry_, telemetry::Stage::kQuantize);
-  if (opts_.quantize_payload) proto::quantize_run_payload(m.protocol, codec_);
-  round_elapsed_ += span.stop();
-  trace_emit(telemetry::TraceOp::kQuantize, tts);
-}
+  {
+    const double tts = trace_begin();
+    telemetry::SpanTimer span(telemetry_, telemetry::Stage::kQuantize);
+    if (opts_.quantize_payload) proto::quantize_run_payload(m.protocol, codec_);
+    elapsed += span.stop();
+    trace_emit(telemetry::TraceOp::kQuantize, tts);
+  }
 
-void RoundPipeline::stage_ranging(RoundMeasurement& m) {
-  const std::size_t n = opts_.protocol.num_devices;
-  const double tts = trace_begin();
-  telemetry::SpanTimer span(telemetry_, telemetry::Stage::kRanging);
-  // Pairwise distances from the timestamp table.
-  solver_.solve_into(out_.ranging, m.protocol);
+  {
+    const double tts = trace_begin();
+    telemetry::SpanTimer span(telemetry_, telemetry::Stage::kRanging);
+    // Pairwise distances from the timestamp table.
+    solver_.solve_into(out_.ranging, m.protocol);
 
-  // Per-link 1D ranging diagnostics against the true geometry.
-  out_.ranging_errors.clear();
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = i + 1; j < n; ++j)
-      if (out_.ranging.weights(i, j) > 0.0) {
-        const double true_d = distance(m.truth_pos[i], m.truth_pos[j]);
-        out_.ranging_errors.push_back(std::abs(out_.ranging.distances(i, j) - true_d));
-      }
-  round_elapsed_ += span.stop();
-  trace_emit(telemetry::TraceOp::kRanging, tts);
-}
+    // Per-link 1D ranging diagnostics against the true geometry.
+    out_.ranging_errors.clear();
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = i + 1; j < n; ++j)
+        if (out_.ranging.weights(i, j) > 0.0) {
+          const double true_d = distance(m.truth_pos[i], m.truth_pos[j]);
+          out_.ranging_errors.push_back(std::abs(out_.ranging.distances(i, j) - true_d));
+        }
+    elapsed += span.stop();
+    trace_emit(telemetry::TraceOp::kRanging, tts);
+  }
 
-void RoundPipeline::stage_localize(RoundMeasurement& m, uwp::Rng& rng,
-                                   std::span<const double> distances,
-                                   std::span<const double> weights) {
-  const std::size_t n = opts_.protocol.num_devices;
-  out_.localizer_input.distances.assign(n, n);
-  out_.localizer_input.weights.assign(n, n);
-  std::copy(distances.begin(), distances.end(),
-            out_.localizer_input.distances.data().begin());
-  std::copy(weights.begin(), weights.end(),
-            out_.localizer_input.weights.data().begin());
+  out_.localizer_input.distances = out_.ranging.distances;
+  out_.localizer_input.weights = out_.ranging.weights;
   out_.localizer_input.depths = m.depths;
   out_.localizer_input.pointing_bearing_rad = m.pointing_bearing_rad;
   out_.localizer_input.votes = m.votes;
@@ -167,17 +144,19 @@ void RoundPipeline::stage_localize(RoundMeasurement& m, uwp::Rng& rng,
     }
   }
 
-  const double tts = trace_begin();
-  telemetry::SpanTimer span(telemetry_, telemetry::Stage::kLocalize);
-  try {
-    localizer_.localize_into(out_.localization, out_.localizer_input, rng, loc_ws_,
-                             warm ? &warm_init_ : nullptr);
-    out_.localized = true;
-  } catch (const std::exception&) {
-    out_.localized = false;
+  {
+    const double tts = trace_begin();
+    telemetry::SpanTimer span(telemetry_, telemetry::Stage::kLocalize);
+    try {
+      localizer_.localize_into(out_.localization, out_.localizer_input, rng, loc_ws_,
+                               warm ? &warm_init_ : nullptr);
+      out_.localized = true;
+    } catch (const std::exception&) {
+      out_.localized = false;
+    }
+    elapsed += span.stop();
+    trace_emit(telemetry::TraceOp::kLocalize, tts);
   }
-  round_elapsed_ += span.stop();
-  trace_emit(telemetry::TraceOp::kLocalize, tts);
   if (telemetry_ != nullptr)
     telemetry_->count(warm ? telemetry::Counter::kWarmStartHits
                            : telemetry::Counter::kWarmStartMisses);
@@ -186,39 +165,35 @@ void RoundPipeline::stage_localize(RoundMeasurement& m, uwp::Rng& rng,
     for (std::size_t i = 1; i < n; ++i)
       out_.error_2d[i] = distance(out_.localization.positions[i].xy(), m.truth_xy[i]);
   }
-}
 
-void RoundPipeline::stage_track(RoundMeasurement& m) {
-  if (!opts_.track) return;
-  const std::size_t n = opts_.protocol.num_devices;
   // Tracking: coast through failed rounds, fuse successful ones (the predict
-  // half already ran in begin_round).
-  const double tts = trace_begin();
-  telemetry::SpanTimer span(telemetry_, telemetry::Stage::kTrack);
-  if (out_.localized) {
-    tracker_update_.assign(n, std::nullopt);
-    for (std::size_t i = 1; i < n; ++i)
-      tracker_update_[i] = out_.localization.positions[i].xy();
-    const double sigma =
-        opts_.tracker_stress_sigma_offset_m >= 0.0
-            ? out_.localization.normalized_stress + opts_.tracker_stress_sigma_offset_m
-            : -1.0;
-    tracker_.update(tracker_update_, sigma);
+  // half already ran above).
+  if (opts_.track) {
+    const double tts = trace_begin();
+    telemetry::SpanTimer span(telemetry_, telemetry::Stage::kTrack);
+    if (out_.localized) {
+      tracker_update_.assign(n, std::nullopt);
+      for (std::size_t i = 1; i < n; ++i)
+        tracker_update_[i] = out_.localization.positions[i].xy();
+      const double sigma =
+          opts_.tracker_stress_sigma_offset_m >= 0.0
+              ? out_.localization.normalized_stress + opts_.tracker_stress_sigma_offset_m
+              : -1.0;
+      tracker_.update(tracker_update_, sigma);
+    }
+    for (std::size_t i = 1; i < n; ++i) {
+      const core::DiverTrack& track = tracker_.track(i);
+      if (track.initialized())
+        out_.tracked_error_2d[i] = distance(track.position(), m.truth_xy[i]);
+    }
+    elapsed += span.stop();
+    trace_emit(telemetry::TraceOp::kTrack, tts);
+    warm_valid_ = out_.localized;
   }
-  for (std::size_t i = 1; i < n; ++i) {
-    const core::DiverTrack& track = tracker_.track(i);
-    if (track.initialized())
-      out_.tracked_error_2d[i] = distance(track.position(), m.truth_xy[i]);
-  }
-  round_elapsed_ += span.stop();
-  trace_emit(telemetry::TraceOp::kTrack, tts);
-  warm_valid_ = out_.localized;
-}
 
-const RoundOutput& RoundPipeline::finish_round() {
   telemetry::ShardStream* const tel = telemetry_;
   if (tel != nullptr) {
-    if (tel->timing_enabled()) tel->span(telemetry::Stage::kRound, round_elapsed_);
+    if (tel->timing_enabled()) tel->span(telemetry::Stage::kRound, elapsed);
     tel->count(telemetry::Counter::kRounds);
     if (out_.localized) {
       tel->count(telemetry::Counter::kLocalized);
@@ -228,13 +203,10 @@ const RoundOutput& RoundPipeline::finish_round() {
       tel->count(telemetry::Counter::kLocalizeFailures);
     }
   }
-  if (tracing()) {
-    // Root span: wall time from begin_round to here — under a BatchPlane
-    // this includes the interleaved stages of the round's group-mates,
-    // which is exactly the queueing the tail debugger wants to see.
-    telemetry_->trace_span(trace_id_, telemetry::TraceOp::kRound,
-                           telemetry::TraceOp::kNone, trace_ts0_);
-  }
+  // Root span: wall time of the whole round, stages included.
+  if (tracing())
+    tel->trace_span(trace_id_, telemetry::TraceOp::kRound, telemetry::TraceOp::kNone,
+                    round_ts0);
   trace_id_ = 0;
   return out_;
 }

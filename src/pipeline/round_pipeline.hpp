@@ -8,7 +8,6 @@
 // allocations.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "core/localizer.hpp"
@@ -79,12 +78,6 @@ class RoundPipeline {
   // throws std::invalid_argument like the constructor.
   void rebind(const PipelineOptions& opts);
 
-  // Retune the pruned outlier search's fan-out without a full rebind — the
-  // control plane's solver knob. Result-neutral: the parallel pruned search
-  // is bit-identical at any thread count, so this never changes outputs,
-  // only wall-clock. No-op when `n` already matches.
-  void set_search_threads(std::size_t n);
-
   // The §2.4 payload quantization table this pipeline applies, exposed so
   // codecs (fleet wire codec, trace tooling) stay in sync with the round
   // chain's on-the-wire resolution.
@@ -96,51 +89,23 @@ class RoundPipeline {
   // rebind() on purpose: an arena-reused pipeline keeps reporting into the
   // shard that owns it.
   void set_telemetry(telemetry::ShardStream* stream) { telemetry_ = stream; }
-  telemetry::ShardStream* telemetry() const { return telemetry_; }
 
   // Arm the causal trace for the next round: every stage of that round
   // emits a trace span tagged `trace_id` (children of the round-root span)
-  // onto the attached stream. finish_round() disarms, so coasts and
+  // onto the attached stream. run_round() disarms, so coasts and
   // untraced rounds between explicit arms emit nothing. No-op when the
   // stream is null or its trace plane is off.
   void set_trace(std::uint64_t trace_id) { trace_id_ = trace_id; }
-  std::uint64_t trace_id() const { return trace_id_; }
 
-  // Process one measurement. `dt_s` is the time since the previous round
+  // Process one measurement: tracker predict, §2.4 payload quantization,
+  // ranging, localization (SMACOF + Algorithm 1 + ambiguity, warm-started
+  // from the tracker's prediction when the previous round localized), then
+  // the tracker update. `dt_s` is the time since the previous round
   // (tracker prediction horizon; ignored when tracking is off). Payload
   // quantization mutates m.protocol in place — afterwards it holds exactly
   // the table the leader decoded. The returned reference stays valid until
   // the next run_round/run_batch call.
   const RoundOutput& run_round(RoundMeasurement& m, uwp::Rng& rng, double dt_s = 0.0);
-
-  // Stage-sliced round execution — the same chain run_round composes, split
-  // so a pipeline::BatchPlane can interleave many pipelines' rounds stage by
-  // stage (all quantize, all ranging, ...) for cache locality. Protocol per
-  // round, in order:
-  //   begin_round(dt_s)                 tracker predict (warm-start basis)
-  //   stage_quantize(m)                 §2.4 payload quantization
-  //   stage_ranging(m)                  timestamp table -> distance matrix
-  //   stage_localize(m, rng, d, w)      SMACOF + Algorithm 1 + ambiguity;
-  //                                     d/w are row-major n*n views of the
-  //                                     distance/weight matrices (usually
-  //                                     output().ranging's, or a batch
-  //                                     plane's staged copy)
-  //   stage_track(m)                    Kalman update + tracked errors
-  //   finish_round()                    round counters + aggregate span
-  // The results are bit-identical to run_round: stages only communicate
-  // through this pipeline's own state, so interleaving with other pipelines
-  // changes nothing.
-  void begin_round(double dt_s);
-  void stage_quantize(RoundMeasurement& m);
-  void stage_ranging(RoundMeasurement& m);
-  void stage_localize(RoundMeasurement& m, uwp::Rng& rng,
-                      std::span<const double> distances,
-                      std::span<const double> weights);
-  void stage_track(RoundMeasurement& m);
-  const RoundOutput& finish_round();
-
-  // The last round's outputs (valid between stage calls of a round too).
-  const RoundOutput& output() const { return out_; }
 
   // A round that never happened (e.g. jammed by noise): advance the tracker
   // so it coasts on its motion model.
@@ -173,9 +138,7 @@ class RoundPipeline {
   // tracker's predicted geometry is a trustworthy SMACOF seed.
   bool warm_valid_ = false;
   std::vector<Vec2> warm_init_;
-  double round_elapsed_ = 0.0;  // summed stage spans for the kRound span
   std::uint64_t trace_id_ = 0;  // armed trace id; 0 = not tracing
-  double trace_ts0_ = 0.0;      // round-root span start (collector epoch)
 };
 
 }  // namespace uwp::pipeline

@@ -72,8 +72,6 @@ const char* to_string(TraceOp op) {
       return "ingest";
     case TraceOp::kQueue:
       return "queue";
-    case TraceOp::kBatch:
-      return "batch";
     case TraceOp::kQuantize:
       return "quantize";
     case TraceOp::kRanging:
@@ -100,8 +98,6 @@ const char* to_string(Sample s) {
       return "arena_free_hit";
     case Sample::kArenaFreeMiss:
       return "arena_free_miss";
-    case Sample::kArenaRebindCost:
-      return "arena_rebind_cost";
     case Sample::kCount_:
       break;
   }

@@ -15,9 +15,9 @@
 //   * Sample — run-varying scalar observations (live queue depth, arena
 //     free-list reuse) whose values depend on scheduling, not the spec.
 //   * TraceOp — causal round-trace spans. Each traced round carries one
-//     trace id from ingest through the queue, batch staging, and every
-//     pipeline stage; span *structure* (which ops fired, parent links,
-//     virtual time) is deterministic, wall-clock start/duration is not.
+//     trace id from ingest through the queue and every pipeline stage;
+//     span *structure* (which ops fired, parent links, virtual time) is
+//     deterministic, wall-clock start/duration is not.
 //
 // The Event struct itself is a 32-byte POD so pushes compile to a handful
 // of stores; `ref` carries the trace id for kTraceSpan events.
@@ -72,7 +72,6 @@ enum class Sample : std::uint8_t {
   kArenaReuse,       // arena lease satisfied from the free list (1 per hit)
   kArenaFreeHit,     // free-list hit; value = group size served
   kArenaFreeMiss,    // free-list miss (cold construction); value = group size
-  kArenaRebindCost,  // |leased size - requested size| on a free-list hit
   kCount_,
 };
 inline constexpr std::size_t kSampleCount =
@@ -86,8 +85,7 @@ enum class TraceOp : std::uint8_t {
   kRound = 0,  // whole round, root span
   kIngest,     // serve mode: frame decode + shaper verdict (ingest stream)
   kQueue,      // serve mode: dispatch-queue residency (enqueue -> worker pop)
-  kBatch,      // batched fleet mode: BatchPlane group assignment + SoA gather
-  kQuantize,   // pipeline stage slices, children of kRound
+  kQuantize,   // pipeline stages, children of kRound
   kRanging,
   kLocalize,
   kTrack,

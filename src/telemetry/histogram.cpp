@@ -21,8 +21,12 @@ std::size_t Histogram::bucket_index(double v) const {
   // v / min = m * 2^e with m in [0.5, 1), so log2(v/min) = (e - 1) + f with
   // f = log2(2m) in [0, 1). frexp keeps octave boundaries exact: v = min*2^k
   // gives m = 0.5 exactly, f = 0, index k * P.
+  // A finite v can still overflow the ratio (v / min_ = inf); frexp(inf)
+  // leaves e unspecified, so the top of the range clamps explicitly.
+  const double ratio = v / min_;
+  if (!std::isfinite(ratio)) return counts_.size() - 1;
   int e = 0;
-  const double m = std::frexp(v / min_, &e);
+  const double m = std::frexp(ratio, &e);
   const double f = std::log2(2.0 * m);
   long idx = static_cast<long>(e - 1) * per_octave_ +
              static_cast<long>(f * double(per_octave_));

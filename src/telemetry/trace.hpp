@@ -1,7 +1,7 @@
 // Causal round traces: every traced round carries one 64-bit trace id from
 // the ingest loop (frame decode + shaper verdict) through the dispatch
-// queue, BatchPlane group assignment, and each stage-sliced RoundPipeline
-// call. Spans live on two planes, mirroring the counter/timing split:
+// queue and each stage of RoundPipeline::run_round. Spans live on two
+// planes, mirroring the counter/timing split:
 //
 //   * Structure — deterministic. Which spans fired, their trace ids,
 //     parent links, and virtual times are a pure function of the spec and

@@ -221,6 +221,22 @@ TEST(SpecParse, UnknownAndMistypedFieldsFailWithPaths) {
                      "telemetry.flight.capacity");
 }
 
+// Control keys of the retired solver tuner must fail loudly, not be ignored.
+TEST(SpecParse, RemovedControlKeysAreUnknownFields) {
+  for (const char* key :
+       {"solver", "solver_iters_high", "solver_iters_low", "max_search_threads"}) {
+    const std::string json = std::string(R"({"control": {")") + key + R"(": 1}})";
+    try {
+      parse_spec(json);
+      ADD_FAILURE() << "expected SpecError for " << json;
+    } catch (const SpecError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string("control.") + key), std::string::npos) << what;
+      EXPECT_NE(what.find("unknown field"), std::string::npos) << what;
+    }
+  }
+}
+
 // --- validation failures (range/consistency errors, one per field) ----------
 
 void expect_invalid(const ScenarioSpec& spec, const std::string& path_substr) {

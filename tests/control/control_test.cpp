@@ -42,12 +42,10 @@ telemetry::Snapshot snap_with(
 TEST(ControlLog, CodecRoundTripsBitExactly) {
   ControlLog log;
   log.windows_observed = 7;
-  log.actions.push_back({0, ActionKind::kArenaCachePolicy,
-                         static_cast<double>(CachePolicy::kLfu)});
   log.actions.push_back({2, ActionKind::kArenaRetain, 16.0});
   log.actions.push_back({3, ActionKind::kShaperRate, 6.25});
   log.actions.push_back({3, ActionKind::kShaperBurst, 10.0});
-  log.actions.push_back({5, ActionKind::kSearchThreads, 4.0});
+  log.actions.push_back({5, ActionKind::kShaperMaxDefers, 4.0});
   // A value whose bit pattern must survive exactly.
   log.actions.push_back({6, ActionKind::kShaperRate, 0.1 + 0.2});
 
@@ -80,6 +78,24 @@ TEST(ControlLog, ReaderRejectsCorruption) {
     std::stringstream in(bytes + "x");  // trailing bytes
     EXPECT_THROW(read_control_log(in), std::runtime_error);
   }
+  {
+    // Action count spliced to 2^60: rejected before any allocation sized by
+    // it (header = u32 magic + u16 version + u64 windows, then the count).
+    std::string bad = bytes;
+    const std::uint64_t huge = std::uint64_t{1} << 60;
+    for (int i = 0; i < 8; ++i)
+      bad[14 + i] = static_cast<char>((huge >> (8 * i)) & 0xFFu);
+    std::stringstream in(bad);
+    EXPECT_THROW(read_control_log(in), std::runtime_error);
+  }
+  {
+    // A version-1 log (pre-renumbering action kinds) is refused.
+    std::string old = bytes;
+    old[4] = 1;
+    old[5] = 0;
+    std::stringstream in(old);
+    EXPECT_THROW(read_control_log(in), std::runtime_error);
+  }
 }
 
 // --- policy folds -----------------------------------------------------------
@@ -99,59 +115,6 @@ TEST(Policies, ArenaTunerStormsAndDecays) {
   // Idle windows decay retention back toward the base, never below it.
   for (int i = 0; i < 10; ++i) tuner.observe(20 + i, snap_with(20 + i, {}), c);
   EXPECT_EQ(c.arena_retain, cfg.retain_base);
-}
-
-TEST(Policies, ArenaTunerPicksPolicyFromMixDrift) {
-  ControlConfig cfg;
-  ArenaTunerPolicy tuner(cfg);
-  ShardControls c;
-
-  // Balanced mix (mean admit size == mean evict size): LFU.
-  tuner.observe(0,
-                snap_with(0, {{Counter::kAdmits, 4},
-                              {Counter::kEvicts, 4},
-                              {Counter::kAdmitDevices, 20},
-                              {Counter::kEvictDevices, 20}}),
-                c);
-  EXPECT_EQ(c.cache_policy, CachePolicy::kLfu);
-
-  // Drifting mix (admitted groups much larger than evicted): cost-aware.
-  tuner.observe(1,
-                snap_with(1, {{Counter::kAdmits, 4},
-                              {Counter::kEvicts, 4},
-                              {Counter::kAdmitDevices, 40},
-                              {Counter::kEvictDevices, 20}}),
-                c);
-  EXPECT_EQ(c.cache_policy, CachePolicy::kCostAware);
-}
-
-TEST(Policies, SolverTunerScalesWithIterationPressure) {
-  ControlConfig cfg;
-  SolverTunerPolicy tuner(cfg);
-  ShardControls c;
-
-  tuner.observe(0,
-                snap_with(0, {{Counter::kRounds, 10},
-                              {Counter::kSolverIterations,
-                               10 * (cfg.solver_iters_high + 1)}}),
-                c);
-  EXPECT_EQ(c.search_threads, 2u);
-  // Pressure stays high: doubles to the cap, never past it.
-  for (int i = 0; i < 8; ++i)
-    tuner.observe(1 + i,
-                  snap_with(1 + i, {{Counter::kRounds, 10},
-                                    {Counter::kSolverIterations,
-                                     10 * (cfg.solver_iters_high + 1)}}),
-                  c);
-  EXPECT_EQ(c.search_threads, cfg.max_search_threads);
-  // Low pressure halves back down to 1.
-  for (int i = 0; i < 8; ++i)
-    tuner.observe(20 + i, snap_with(20 + i, {{Counter::kRounds, 10}}), c);
-  EXPECT_EQ(c.search_threads, 1u);
-  // No rounds at all: no change.
-  c.search_threads = 4;
-  tuner.observe(40, snap_with(40, {}), c);
-  EXPECT_EQ(c.search_threads, 4u);
 }
 
 TEST(Policies, ShaperTunerOpensUnderShedPressureAndRelaxes) {

@@ -12,6 +12,7 @@
 #include "des/session_source.hpp"
 #include "fleet/recorder.hpp"
 #include "sim/fleet_workload.hpp"
+#include "telemetry/collector.hpp"
 
 namespace uwp::fleet {
 namespace {
@@ -112,6 +113,48 @@ TEST(FleetService, LatencyMeasurementCoversEveryRound) {
   EXPECT_EQ(r.round_latency_s.size(), r.rounds);
   for (const double l : r.round_latency_s) EXPECT_GE(l, 0.0);
   EXPECT_GT(r.wall_seconds, 0.0);
+}
+
+// Warm-start accounting: every localize attempt is either a hit or a miss,
+// the totals are deterministic (identical across shard counts), and a
+// steady-state fleet actually warms up (hits dominate once tracks exist).
+TEST(FleetService, WarmStartCountersAreDeterministicAndMostlyHits) {
+  sim::WorkloadParams params;
+  params.sessions = 48;
+  params.seed = 0x3A11u;
+  params.min_group_size = 4;
+  params.max_group_size = 6;
+  params.min_rounds = 6;
+  params.max_rounds = 10;
+  params.include_des = false;
+  const std::vector<sim::GroupScenario> workload = sim::make_workload(params);
+
+  std::uint64_t ref_hits = 0, ref_misses = 0;
+  for (const std::size_t shards : {1u, 3u}) {
+    FleetOptions fo;
+    fo.master_seed = 0xD1CEu;
+    fo.shards = shards;
+    FleetService service(fo, workload);
+    telemetry::TelemetryOptions topts;
+    topts.enabled = true;
+    topts.timing = false;
+    telemetry::Collector col(topts);
+    const FleetResult r = service.run(nullptr, &col);
+    const telemetry::TelemetryReport report = col.report();
+    const std::uint64_t hits =
+        report.totals[static_cast<std::size_t>(telemetry::Counter::kWarmStartHits)];
+    const std::uint64_t misses =
+        report.totals[static_cast<std::size_t>(telemetry::Counter::kWarmStartMisses)];
+    EXPECT_EQ(hits + misses, r.rounds);  // every round localizes exactly once
+    EXPECT_GT(hits, misses);  // multi-round sessions warm up after round 1
+    if (shards == 1) {
+      ref_hits = hits;
+      ref_misses = misses;
+    } else {
+      EXPECT_EQ(hits, ref_hits);
+      EXPECT_EQ(misses, ref_misses);
+    }
+  }
 }
 
 TEST(FleetRecordReplay, ReplayReproducesPerSessionMetricsBitForBit) {

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -135,6 +136,12 @@ TEST(Histogram, OctaveBoundariesLandExactly) {
   EXPECT_EQ(h.bucket_index(0.0), 0u);
   EXPECT_EQ(h.bucket_index(h.min_value() / 2.0), 0u);
   EXPECT_EQ(h.bucket_index(1e300), h.buckets() - 1);
+  // A finite value whose ratio to min overflows still lands in the top.
+  EXPECT_EQ(h.bucket_index(std::numeric_limits<double>::max()), h.buckets() - 1);
+  Histogram big;
+  big.record(std::numeric_limits<double>::max());
+  EXPECT_EQ(big.count(), 1u);
+  EXPECT_EQ(big.max_seen(), std::numeric_limits<double>::max());
 }
 
 TEST(Histogram, BucketLowerEdgesAreMonotonicGeometric) {
@@ -301,17 +308,16 @@ TEST(CounterPlane, UnshapedServeMatchesFleetSharedCounters) {
   }
 }
 
-// A tailer thread draining concurrently with a batched run (satellite for
+// A tailer thread draining concurrently with a sharded run (satellite for
 // the live-dashboard use case): drain() races the shard producers and the
 // service's internal open(), and the deterministic plane must come out
 // exactly as a quiet sequential run's.
-TEST(CounterPlane, ConcurrentTailerDrainsDuringBatchedRun) {
+TEST(CounterPlane, ConcurrentTailerDrainsDuringShardedRun) {
   const std::vector<sim::GroupScenario> workload =
       sim::make_workload(small_params(12));
   fleet::FleetOptions fo;
   fo.master_seed = 0x7E1Eu;
   fo.shards = 4;
-  fo.batch_rounds = true;
   TelemetryOptions topts;
   topts.enabled = true;
   topts.window = 4.0;
@@ -366,11 +372,10 @@ TEST(TracePlane, IdPackingRoundTrips) {
 }
 
 TelemetryReport fleet_trace_report(const std::vector<sim::GroupScenario>& workload,
-                                   std::size_t shards, bool batch = true) {
+                                   std::size_t shards) {
   fleet::FleetOptions fo;
   fo.master_seed = 0x7E1Eu;
   fo.shards = shards;
-  fo.batch_rounds = batch;
   TelemetryOptions topts;
   topts.enabled = true;
   topts.trace = true;
@@ -389,30 +394,23 @@ TEST(TracePlane, FleetStructureDigestInvariantAcrossShardCounts) {
   EXPECT_EQ(one.trace.size(), four.trace.size());
   EXPECT_EQ(trace_structure_digest(one.trace), trace_structure_digest(four.trace));
 
-  // The batched path contributes kBatch spans; every executed round has a
-  // root span and stage children parented to it.
+  // Every executed round has a root span and stage children parented to
+  // it; the fleet path adds nothing between the round and its stages.
   std::set<TraceOp> ops;
   for (const TraceSpan& s : one.trace) {
     ops.insert(s.op);
     if (s.op == TraceOp::kRound) {
       EXPECT_EQ(s.parent, TraceOp::kNone);
-    }
-    if (s.op == TraceOp::kLocalize || s.op == TraceOp::kBatch) {
+    } else {
       EXPECT_EQ(s.parent, TraceOp::kRound);
     }
     EXPECT_NE(s.trace_id, 0u);
   }
   EXPECT_TRUE(ops.count(TraceOp::kRound));
-  EXPECT_TRUE(ops.count(TraceOp::kBatch));
   EXPECT_TRUE(ops.count(TraceOp::kLocalize));
-
-  // The batch layout knob must not change the rounds traced: every id in
-  // the reference (unbatched) run appears in the batched one.
-  const TelemetryReport ref = fleet_trace_report(workload, 2, /*batch=*/false);
-  std::set<std::uint64_t> batched_ids, ref_ids;
-  for (const TraceSpan& s : one.trace) batched_ids.insert(s.trace_id);
-  for (const TraceSpan& s : ref.trace) ref_ids.insert(s.trace_id);
-  EXPECT_EQ(batched_ids, ref_ids);
+  EXPECT_EQ(ops, (std::set<TraceOp>{TraceOp::kRound, TraceOp::kQuantize,
+                                    TraceOp::kRanging, TraceOp::kLocalize,
+                                    TraceOp::kTrack}));
 }
 
 TelemetryReport serve_trace_report(const std::vector<sim::GroupScenario>& workload,
