@@ -61,10 +61,6 @@ void SessionRecorder::on_coast(std::uint64_t session_id, double dt_s) {
   slot(session_id).events.push_back(std::move(ev));
 }
 
-void SessionRecorder::on_evict(std::uint64_t session_id) {
-  slot(session_id);  // bounds check only; eviction is implicit in the format
-}
-
 void write_fleet_trace(std::ostream& out, const FleetTrace& trace) {
   std::vector<std::uint8_t> buf;
   put_u32(buf, kTraceMagic);
@@ -234,86 +230,43 @@ Replayer::ReplayResult Replayer::replay(telemetry::Collector* telemetry,
   if (col != nullptr) col->open(1);
   telemetry::ShardStream* const tel = col != nullptr ? &col->stream(0) : nullptr;
 
-  pipeline::RoundMeasurement meas;
-  RoundRecord recorded, recomputed;
+  // One arena for the whole replay: reuse is result-neutral by the
+  // ShardArena contract, and leasing through it is what counts the admits.
+  ShardArena arena;
+  arena.set_telemetry(tel);
+  RoundRecord recorded;
   for (std::size_t id = 0; id < trace_.sessions.size(); ++id) {
     const sim::GroupScenario& sc = workload_[id];
-    pipeline::RoundPipeline pipe(pipeline_options_for(sc));
-    pipe.set_telemetry(tel);
-    uwp::Rng solve_rng(session_stream_seed(trace_.master_seed, id, kSolverStream));
-
-    SessionMetrics& m = metrics[id];
-    m.session_id = id;
-    m.kind = sc.kind;
-
-    // The counter-plane mirror of the live tick loop: the session's i-th
-    // coast/measurement event happened at tick admit_tick + i, and the
-    // admit (with its arena lease) rode the first event's tick, the evict
-    // the last one's. Counter pages are per-window sums, so replaying the
-    // sessions one by one rebuilds the same pages the interleaved live
+    SessionConsumer session(sc, trace_.master_seed);
+    // The session's i-th coast/measurement event ran at tick admit_tick + i
+    // in the live schedule: the admit rode the first event's tick and the
+    // evict the last one's. Counter pages are per-window sums, so replaying
+    // the sessions one by one rebuilds the pages the interleaved live
     // schedule produced.
     std::size_t event_index = 0;
-    bool admitted = false;
-    const auto stamp = [&]() {
-      if (tel == nullptr) return;
-      tel->set_time(static_cast<double>(sc.admit_tick + event_index));
-      if (!admitted) {
-        tel->count(telemetry::Counter::kArenaLeases);
-        tel->count(telemetry::Counter::kAdmits);
-        tel->count(telemetry::Counter::kAdmitDevices, sc.scene.protocol.num_devices);
-      }
-      admitted = true;
-    };
-
-    bool have_round = false;  // a run_round result awaiting its record frame
+    const RoundRecord* recomputed = nullptr;  // awaiting its record frame
     for (const TraceEvent& ev : trace_.sessions[id].events) {
-      switch (ev.kind) {
-        case FrameKind::kCoast:
-          stamp();
-          ++event_index;
-          pipe.coast(ev.dt_s);
-          m.note_coast();
-          if (tel != nullptr) tel->count(telemetry::Counter::kCoasts);
-          have_round = false;
-          break;
-        case FrameKind::kMeasurement: {
-          stamp();
-          ++event_index;
-          std::size_t pos = 0;
-          decode_measurement(ev.payload, pos, meas);
-          // Each record is only internally consistent; the pipeline indexes
-          // by the *scenario's* device count, so a mismatched (corrupt or
-          // cross-wired) frame must be rejected here, not read out of
-          // bounds downstream.
-          if (meas.protocol.timestamps.rows() != sc.scene.protocol.num_devices)
-            throw WireError("fleet trace: measurement device count != session's");
-          const pipeline::RoundOutput& po = pipe.run_round(meas, solve_rng, ev.dt_s);
-          m.note_round(po);
-          recomputed.round = ev.round;
-          recomputed.localized = po.localized;
-          recomputed.normalized_stress =
-              po.localized ? po.localization.normalized_stress : 0.0;
-          recomputed.error_2d = po.error_2d;
-          recomputed.tracked_error_2d = po.tracked_error_2d;
-          have_round = true;
-          break;
-        }
-        case FrameKind::kRoundResult: {
-          std::size_t pos = 0;
-          decode_round_record(ev.payload, pos, recorded);
-          if (!have_round || !bit_equal(recorded, recomputed)) ++out.result_mismatches;
-          have_round = false;
-          break;
-        }
+      if (ev.kind == FrameKind::kRoundResult) {
+        std::size_t pos = 0;
+        decode_round_record(ev.payload, pos, recorded);
+        if (recomputed == nullptr || !bit_equal(recorded, *recomputed))
+          ++out.result_mismatches;
+        recomputed = nullptr;
+        continue;
+      }
+      if (tel != nullptr) tel->set_time(static_cast<double>(sc.admit_tick + event_index));
+      ++event_index;
+      if (session.state() == SessionState::kPending) session.admit(arena, nullptr, tel);
+      if (ev.kind == FrameKind::kCoast) {
+        session.coast(ev.dt_s);
+        recomputed = nullptr;
+      } else {
+        session.decode(ev.payload);
+        recomputed = &session.round(ev.round, ev.dt_s, nullptr);
       }
     }
-    if (tel != nullptr && admitted) {
-      // Eviction is implicit in the trace: it happened on the last event's
-      // tick (the live scheduler checks lifetime exhaustion after the
-      // event), whose time is still the stream's current window.
-      tel->count(telemetry::Counter::kEvicts);
-      tel->count(telemetry::Counter::kEvictDevices, sc.scene.protocol.num_devices);
-    }
+    session.evict();
+    metrics[id] = session.take_metrics();
   }
 
   if (control != nullptr) {

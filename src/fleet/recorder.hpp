@@ -89,13 +89,13 @@ class SessionRecorder {
   SessionRecorder(std::uint64_t master_seed, const sim::WorkloadParams& params,
                   const std::vector<sim::GroupScenario>& workload);
 
-  // Session hooks (see fleet::Session).
+  // Session hooks (see fleet::SessionConsumer). Eviction is implicit in the
+  // format, so it has no hook.
   void on_admit(const sim::GroupScenario& scenario);
   void on_measurement(std::uint64_t session_id, std::uint32_t round, double dt_s,
                       const pipeline::RoundMeasurement& m);
   void on_round_result(std::uint64_t session_id, const RoundRecord& r);
   void on_coast(std::uint64_t session_id, double dt_s);
-  void on_evict(std::uint64_t session_id);
 
   const FleetTrace& trace() const { return trace_; }
 
@@ -117,10 +117,12 @@ FleetTrace load_fleet_trace(const std::string& path);
 void write_fleet_trace(std::ostream& out, const FleetTrace& trace);
 
 // Replays a captured fleet run through the real service stack: regenerates
-// the workload from the trace header, rebuilds each session's pipeline,
-// decodes every measurement from its recorded bytes and runs it through
-// pipeline::RoundPipeline with the session's re-derived solver stream.
-// Produces the same FleetResult a live run produces, bit for bit.
+// the workload from the trace header and serves each session, in id order,
+// through a SessionConsumer leasing from one ShardArena — the same
+// admit/coast/round/evict path the live services use. Every measurement is
+// decoded from its recorded bytes and run with the session's re-derived
+// solver stream. Produces the same FleetResult a live run produces, bit for
+// bit.
 class Replayer {
  public:
   explicit Replayer(FleetTrace trace);
@@ -134,14 +136,15 @@ class Replayer {
     control::ControlLog control_log;
   };
   // Plain replay. `telemetry`, when given and enabled, is opened with one
-  // stream and fed the same counter events a live tick-scheduled fleet run
-  // emits — each event stamped at virtual time admit_tick + event index, so
-  // with the live run's window length the rebuilt counter plane matches the
-  // live one page for page. `control` (requires telemetry) then re-executes
-  // the control fold offline over that rebuilt plane: the result's
-  // control_log must equal the live run's — the record→replay pin for the
-  // control plane. `baseline` (optional) seeds the fold's knob bundle;
-  // defaults to ShardControls{}, matching a fleet-mode live run.
+  // stream that the arena and the consumers count into, as a live
+  // tick-scheduled fleet run's shards do — each event stamped at virtual
+  // time admit_tick + event index, so with the live run's window length the
+  // rebuilt counter plane matches the live one page for page. `control`
+  // (requires telemetry) then re-executes the control fold offline over
+  // that rebuilt plane: the result's control_log must equal the live run's
+  // — the record→replay pin for the control plane. `baseline` (optional)
+  // seeds the fold's knob bundle; defaults to ShardControls{}, matching a
+  // fleet-mode live run.
   ReplayResult replay(telemetry::Collector* telemetry = nullptr,
                       const control::ControlConfig* control = nullptr,
                       const control::ShardControls* baseline = nullptr) const;

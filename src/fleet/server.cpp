@@ -6,6 +6,7 @@
 #include <exception>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -29,26 +30,11 @@ struct WorkItem {
   std::shared_ptr<const control::ShardControls> control;
 };
 
-// A session's serving-side state, owned by exactly one worker (sessions map
-// to workers by id), so none of it needs locks.
-struct WorkerSession {
-  std::unique_ptr<SessionRuntime> rt;
-  uwp::Rng solve_rng{0};
-  SessionMetrics metrics;
-  RoundRecord scratch;
-  bool active = false;
-};
-
 }  // namespace
 
 Server::Server(const ServerOptions& opts, std::vector<sim::GroupScenario> workload)
     : opts_(opts), workload_(std::move(workload)) {
-  for (std::size_t i = 0; i < workload_.size(); ++i) {
-    if (workload_[i].session_id != i)
-      throw std::invalid_argument("Server: workload must be indexed by session id");
-    if (workload_[i].lifetime_rounds < 1)
-      throw std::invalid_argument("Server: session lifetime must be >= 1 round");
-  }
+  check_workload(workload_, "Server");
 }
 
 ServerResult Server::serve(Transport& transport, SessionRecorder* recorder,
@@ -83,14 +69,18 @@ ServerResult Server::serve(Transport& transport, SessionRecorder* recorder,
   // release increment, and the ingest loop's acquire spin at a window
   // boundary is the happens-before edge that makes the closed window's
   // counter pages safe to merge.
-  std::vector<std::vector<std::unique_ptr<WorkerSession>>> states(workers);
+  std::vector<std::vector<SessionConsumer>> consumers(workers);
   std::vector<std::vector<double>> latencies(workers);
   std::vector<std::exception_ptr> errors(workers);
   std::vector<std::atomic<std::uint64_t>> processed(workers);
 
   auto worker_body = [&](std::size_t w) {
-    std::vector<std::unique_ptr<WorkerSession>>& mine = states[w];
-    mine.resize(workload_.size());
+    // Sessions map to workers by id, so worker w owns the consumers of ids
+    // w, w + workers, ... — at index id / workers — and none needs a lock.
+    std::vector<SessionConsumer>& mine = consumers[w];
+    mine.reserve(workload_.size() / workers + 1);
+    for (std::size_t id = w; id < workload_.size(); id += workers)
+      mine.emplace_back(workload_[id], opts_.master_seed);
     ShardArena arena;
     telemetry::ShardStream* const tel = col != nullptr ? &col->stream(1 + w) : nullptr;
     arena.set_telemetry(tel);
@@ -104,16 +94,12 @@ ServerResult Server::serve(Transport& transport, SessionRecorder* recorder,
         return;
       }
       const std::uint64_t id = item.frame.session_id;
-      const sim::GroupScenario& sc = workload_[static_cast<std::size_t>(id)];
-      std::unique_ptr<WorkerSession>& slot = mine[static_cast<std::size_t>(id)];
-      if (slot == nullptr) {
-        slot = std::make_unique<WorkerSession>();
-        slot->solve_rng =
-            uwp::Rng(session_stream_seed(opts_.master_seed, id, kSolverStream));
-        slot->metrics.session_id = id;
-        slot->metrics.kind = sc.kind;
-      }
-      WorkerSession& s = *slot;
+      SessionConsumer& s = mine[static_cast<std::size_t>(id) / workers];
+      // kBye ends a session in every state; a later frame would re-lease a
+      // runtime and wipe the session's recorded trace mid-run.
+      if (s.state() == SessionState::kEvicted)
+        throw WireError("ingest: frame for session " + std::to_string(id) +
+                        " after its kBye");
       // Counter windows key off the frame's virtual decision time (its own
       // t_s unless the shaper deferred it), which is what makes the
       // counters section worker-count invariant — and what guarantees a
@@ -122,79 +108,27 @@ ServerResult Server::serve(Transport& transport, SessionRecorder* recorder,
       if (tel != nullptr) tel->set_time(item.decide_s);
 
       if (item.frame.kind == IngestKind::kBye) {
-        if (s.active) {
-          arena.release(std::move(s.rt));
-          s.active = false;
-          if (recorder != nullptr) recorder->on_evict(id);
-          if (tel != nullptr) {
-            tel->count(telemetry::Counter::kEvicts);
-            tel->count(telemetry::Counter::kEvictDevices,
-                       sc.scene.protocol.num_devices);
-          }
-        }
+        s.evict();
         return;
       }
-
-      if (!s.active) {
-        s.rt = arena.lease(pipeline_options_for(sc));
-        s.rt->pipe.set_telemetry(tel);
-        s.active = true;
-        if (recorder != nullptr) recorder->on_admit(sc);
-        if (tel != nullptr) {
-          tel->count(telemetry::Counter::kAdmits);
-          tel->count(telemetry::Counter::kAdmitDevices,
-                     sc.scene.protocol.num_devices);
-        }
-      }
+      if (s.state() == SessionState::kPending) s.admit(arena, recorder, tel);
 
       if (item.frame.kind == IngestKind::kCoast || item.shed) {
         // Device-side dropout and server-side shed land in the same
         // place: the tracker coasts, and the trace records a coast.
-        s.rt->pipe.coast(item.frame.dt_s);
-        s.metrics.note_coast();
-        if (recorder != nullptr) recorder->on_coast(id, item.frame.dt_s);
-        if (tel != nullptr) tel->count(telemetry::Counter::kCoasts);
+        s.coast(item.frame.dt_s);
         return;
       }
 
       if (tel != nullptr && tel->trace_enabled()) {
         // Close the causal chain: queue residency (enqueue -> this pop)
-        // under the ingest span, then arm the pipeline for the round.
-        const std::uint64_t trace_id =
-            telemetry::make_trace_id(id, item.frame.round);
-        tel->trace_span(trace_id, telemetry::TraceOp::kQueue,
-                        telemetry::TraceOp::kIngest, item.enq_ts);
-        s.rt->pipe.set_trace(trace_id);
+        // under the ingest span; round() then arms the pipeline.
+        tel->trace_span(telemetry::make_trace_id(id, item.frame.round),
+                        telemetry::TraceOp::kQueue, telemetry::TraceOp::kIngest,
+                        item.enq_ts);
       }
-
-      std::size_t pos = 0;
-      decode_measurement(item.frame.payload, pos, s.rt->meas);
-      // A frame is only internally consistent; the pipeline indexes by
-      // the scenario's device count, so a mismatched frame must be
-      // rejected here, not read out of bounds downstream.
-      if (s.rt->meas.protocol.timestamps.rows() != sc.scene.protocol.num_devices)
-        throw WireError("ingest: measurement device count != session's");
-      if (recorder != nullptr)
-        recorder->on_measurement(id, item.frame.round, item.frame.dt_s, s.rt->meas);
-
-      const auto t0 = std::chrono::steady_clock::now();
-      const pipeline::RoundOutput& out =
-          s.rt->pipe.run_round(s.rt->meas, s.solve_rng, item.frame.dt_s);
-      if (lat != nullptr)
-        lat->push_back(
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                .count());
-
-      s.metrics.note_round(out);
-      if (recorder != nullptr) {
-        s.scratch.round = item.frame.round;
-        s.scratch.localized = out.localized;
-        s.scratch.normalized_stress =
-            out.localized ? out.localization.normalized_stress : 0.0;
-        s.scratch.error_2d = out.error_2d;
-        s.scratch.tracked_error_2d = out.tracked_error_2d;
-        recorder->on_round_result(id, s.scratch);
-      }
+      s.decode(item.frame.payload);
+      s.round(item.frame.round, item.frame.dt_s, lat);
     };
 
     WorkItem item;
@@ -333,15 +267,8 @@ ServerResult Server::serve(Transport& transport, SessionRecorder* recorder,
   // Merge per-session metrics in id order: bit-identical for any worker
   // count by construction.
   std::vector<SessionMetrics> metrics(workload_.size());
-  for (std::size_t id = 0; id < workload_.size(); ++id) {
-    std::unique_ptr<WorkerSession>& slot = states[id % workers][id];
-    if (slot != nullptr) {
-      metrics[id] = std::move(slot->metrics);
-    } else {
-      metrics[id].session_id = id;
-      metrics[id].kind = workload_[id].kind;
-    }
-  }
+  for (std::size_t id = 0; id < workload_.size(); ++id)
+    metrics[id] = consumers[id % workers][id / workers].take_metrics();
 
   out.fleet = finalize_fleet_result(std::move(metrics));
   out.fleet.shards_used = workers;

@@ -1,6 +1,7 @@
 // The serving front-end: fleet::Server consumes a stream of wire-encoded
-// ingest frames from a Transport and runs them through the same warm-pipeline
-// session machinery FleetService drives synchronously.
+// ingest frames from a Transport and runs them through the same
+// SessionConsumer (arena lease, warm pipeline, solver stream, metrics)
+// FleetService drives synchronously.
 //
 //   producers --frames--> Transport --> ingest loop --> IngestScheduler
 //                                           |                 |
@@ -11,8 +12,8 @@
 //                                  dispatch queues        (IngestRecord[])
 //                                           |
 //                                      worker threads
-//                               (ShardArena + RoundPipeline,
-//                                session solver rng streams)
+//                               (ShardArena + one SessionConsumer
+//                                per owned session id)
 //
 // Concurrency is real — bounded queues, blocking backpressure, worker
 // threads — but none of it is allowed to influence results:
@@ -22,6 +23,8 @@
 //   * sessions map to workers by id, each session's solver rng stream is
 //     derived from (master_seed, id) exactly as in the synchronous service,
 //     and queues block instead of dropping;
+//   * kBye ends a session for good, so a session is admitted at most once
+//     and its recorded trace is never restarted mid-run;
 //   * a shed round executes as a tracker coast, which the recorder captures
 //     like any device-side dropout, so a served run's trace replays through
 //     fleet::Replayer unchanged.
@@ -157,9 +160,12 @@ class Server {
   // closed window's counter pages), folds the window into the engine,
   // retunes the shaper in place, and broadcasts the knob bundle to every
   // worker queue. Decisions depend only on the virtual clock, so the
-  // ControlLog is worker-count invariant. Throws WireError on malformed
-  // frames or unknown session ids (the transport is closed first so
-  // producers unblock).
+  // ControlLog is worker-count invariant. Throws WireError (the transport
+  // is closed first so producers unblock) on
+  //   * a malformed frame or measurement payload,
+  //   * an unknown session id,
+  //   * a measurement whose device count is not its session's,
+  //   * any frame for a session after that session's kBye.
   ServerResult serve(Transport& transport, SessionRecorder* recorder = nullptr,
                      telemetry::Collector* telemetry = nullptr,
                      control::ControlEngine* engine = nullptr);

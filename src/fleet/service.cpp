@@ -13,15 +13,7 @@ namespace uwp::fleet {
 
 FleetService::FleetService(FleetOptions opts, std::vector<sim::GroupScenario> workload)
     : opts_(opts), workload_(std::move(workload)) {
-  for (std::size_t i = 0; i < workload_.size(); ++i) {
-    if (workload_[i].session_id != i)
-      throw std::invalid_argument("FleetService: workload session_id != index");
-    // A zero-lifetime session would either run one round anyway (eviction is
-    // checked after the event) or never be admitted, depending on unrelated
-    // sessions' timelines — reject it instead of picking either behavior.
-    if (workload_[i].lifetime_rounds == 0)
-      throw std::invalid_argument("FleetService: lifetime_rounds must be >= 1");
-  }
+  check_workload(workload_, "FleetService");
 }
 
 std::size_t FleetService::ticks() const {
@@ -57,18 +49,13 @@ FleetResult FleetService::run(SessionRecorder* recorder,
 
   // Per-shard state persists across chunks: the control loop slices the
   // tick timeline into window-length chunks with a quiesce point between
-  // them, and sessions/arenas must carry over.
-  struct ShardState {
-    std::vector<Session> sessions;
-    std::vector<std::size_t> ids;
-  };
-  std::vector<ShardState> states(shards);
+  // them, and sessions/arenas must carry over. Shard s owns ids s,
+  // s + shards, ... at index id / shards.
+  std::vector<std::vector<Session>> sessions(shards);
   for (std::size_t shard = 0; shard < shards; ++shard) {
-    ShardState& st = states[shard];
-    for (std::size_t id = shard; id < n_sessions; id += shards) st.ids.push_back(id);
-    st.sessions.reserve(st.ids.size());
-    for (const std::size_t id : st.ids)
-      st.sessions.emplace_back(workload_[id], opts_.master_seed);
+    sessions[shard].reserve(n_sessions / shards + 1);
+    for (std::size_t id = shard; id < n_sessions; id += shards)
+      sessions[shard].emplace_back(workload_[id], opts_.master_seed);
   }
 
   // One shard over one tick range: the sessions with id % shards == shard,
@@ -80,14 +67,13 @@ FleetResult FleetService::run(SessionRecorder* recorder,
   // boundary) cannot perturb FleetResult either.
   const auto run_chunk = [&](std::size_t shard, std::size_t tick_begin,
                              std::size_t tick_end, bool apply) {
-    ShardState& st = states[shard];
     telemetry::ShardStream* const tel = col != nullptr ? &col->stream(shard) : nullptr;
     arenas[shard].set_telemetry(tel);
     if (apply) arenas[shard].set_retain(engine->controls().arena_retain);
     std::vector<double>* lat = opts_.measure_latency ? &shard_latencies[shard] : nullptr;
     for (std::size_t tick = tick_begin; tick < tick_end; ++tick) {
       if (tel != nullptr) tel->set_time(static_cast<double>(tick));
-      for (Session& s : st.sessions) s.tick(tick, arenas[shard], recorder, lat, tel);
+      for (Session& s : sessions[shard]) s.tick(tick, arenas[shard], recorder, lat, tel);
     }
   };
 
@@ -137,9 +123,8 @@ FleetResult FleetService::run(SessionRecorder* recorder,
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 
-  for (std::size_t shard = 0; shard < shards; ++shard)
-    for (std::size_t k = 0; k < states[shard].ids.size(); ++k)
-      metrics[states[shard].ids[k]] = states[shard].sessions[k].take_metrics();
+  for (std::size_t id = 0; id < n_sessions; ++id)
+    metrics[id] = sessions[id % shards][id / shards].take_metrics();
 
   arena_stats_ = {};
   for (const ShardArena& a : arenas) {

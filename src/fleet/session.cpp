@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "des/session_source.hpp"
 #include "fleet/recorder.hpp"
@@ -124,6 +125,15 @@ void ShardArena::trim(std::vector<std::unique_ptr<SessionRuntime>>& list) const 
     list.erase(list.begin(), list.end() - static_cast<std::ptrdiff_t>(retain_));
 }
 
+void check_workload(const std::vector<sim::GroupScenario>& workload, const char* owner) {
+  for (std::size_t i = 0; i < workload.size(); ++i) {
+    if (workload[i].session_id != i)
+      throw std::invalid_argument(std::string(owner) + ": workload session_id != index");
+    if (workload[i].lifetime_rounds == 0)
+      throw std::invalid_argument(std::string(owner) + ": lifetime_rounds must be >= 1");
+  }
+}
+
 pipeline::PipelineOptions pipeline_options_for(const sim::GroupScenario& sc) {
   pipeline::PipelineOptions opts;
   opts.protocol = sc.scene.protocol;
@@ -133,7 +143,7 @@ pipeline::PipelineOptions pipeline_options_for(const sim::GroupScenario& sc) {
   return opts;
 }
 
-// --- Session ----------------------------------------------------------------
+// --- MeasurementFeed --------------------------------------------------------
 
 namespace {
 
@@ -166,8 +176,6 @@ std::shared_ptr<const des::MobilityModel> make_waypoint(
 }
 
 }  // namespace
-
-// --- MeasurementFeed --------------------------------------------------------
 
 MeasurementFeed::MeasurementFeed(const sim::GroupScenario& scenario,
                                  std::uint64_t master_seed)
@@ -222,96 +230,108 @@ MeasurementFeed::Event MeasurementFeed::next(pipeline::RoundMeasurement& out) {
   return Event::kMeasurement;
 }
 
-// --- Session ----------------------------------------------------------------
+// --- SessionConsumer --------------------------------------------------------
 
-Session::Session(const sim::GroupScenario& scenario, std::uint64_t master_seed)
+SessionConsumer::SessionConsumer(const sim::GroupScenario& scenario,
+                                 std::uint64_t master_seed)
     : sc_(&scenario),
-      feed_(scenario, master_seed),
       solve_rng_(session_stream_seed(master_seed, scenario.session_id, kSolverStream)) {
   metrics_.session_id = scenario.session_id;
   metrics_.kind = scenario.kind;
 }
 
-void Session::admit(ShardArena& arena, SessionRecorder* recorder,
-                    telemetry::ShardStream* telemetry) {
+void SessionConsumer::admit(ShardArena& arena, SessionRecorder* recorder,
+                            telemetry::ShardStream* telemetry) {
+  arena_ = &arena;
+  recorder_ = recorder;
+  telemetry_ = telemetry;
   rt_ = arena.lease(pipeline_options_for(*sc_));
   rt_->pipe.set_telemetry(telemetry);
-  feed_.open();
   state_ = SessionState::kActive;
-  if (recorder != nullptr) recorder->on_admit(*sc_);
-  if (telemetry != nullptr) {
-    telemetry->count(telemetry::Counter::kAdmits);
-    telemetry->count(telemetry::Counter::kAdmitDevices,
-                     sc_->scene.protocol.num_devices);
+  if (recorder_ != nullptr) recorder_->on_admit(*sc_);
+  if (telemetry_ != nullptr) {
+    telemetry_->count(telemetry::Counter::kAdmits);
+    telemetry_->count(telemetry::Counter::kAdmitDevices, sc_->scene.protocol.num_devices);
   }
 }
 
-void Session::run_event(ShardArena& arena, SessionRecorder* recorder,
-                        std::vector<double>* latencies,
-                        telemetry::ShardStream* telemetry) {
-  const double dt = feed_.next_dt_s();
+void SessionConsumer::coast(double dt_s) {
+  rt_->pipe.coast(dt_s);
+  metrics_.note_coast();
+  if (recorder_ != nullptr) recorder_->on_coast(sc_->session_id, dt_s);
+  if (telemetry_ != nullptr) telemetry_->count(telemetry::Counter::kCoasts);
+}
 
-  if (feed_.next(rt_->meas) == MeasurementFeed::Event::kCoast) {
-    rt_->pipe.coast(dt);
-    metrics_.note_coast();
-    if (recorder != nullptr) recorder->on_coast(sc_->session_id, dt);
-    if (telemetry != nullptr) telemetry->count(telemetry::Counter::kCoasts);
-  } else {
-    const std::uint32_t round_index = static_cast<std::uint32_t>(metrics_.rounds);
-    if (recorder != nullptr)
-      recorder->on_measurement(sc_->session_id, round_index, dt, rt_->meas);
-    if (telemetry != nullptr && telemetry->trace_enabled())
-      rt_->pipe.set_trace(
-          telemetry::make_trace_id(sc_->session_id, metrics_.rounds));
+void SessionConsumer::decode(std::span<const std::uint8_t> bytes) {
+  std::size_t pos = 0;
+  decode_measurement(bytes, pos, rt_->meas);
+  if (rt_->meas.protocol.timestamps.rows() != sc_->scene.protocol.num_devices)
+    throw WireError("session " + std::to_string(sc_->session_id) +
+                    ": measurement device count != session's");
+}
 
-    const auto t0 = std::chrono::steady_clock::now();
-    const pipeline::RoundOutput& out = rt_->pipe.run_round(rt_->meas, solve_rng_, dt);
-    if (latencies != nullptr)
-      latencies->push_back(
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
+const RoundRecord& SessionConsumer::round(std::uint32_t index, double dt_s,
+                                          std::vector<double>* latencies) {
+  const std::uint64_t id = sc_->session_id;
+  if (recorder_ != nullptr) recorder_->on_measurement(id, index, dt_s, rt_->meas);
+  if (telemetry_ != nullptr && telemetry_->trace_enabled())
+    rt_->pipe.set_trace(telemetry::make_trace_id(id, index));
 
-    metrics_.note_round(out);
-    record_round(out, round_index, recorder);
+  const auto t0 = std::chrono::steady_clock::now();
+  const pipeline::RoundOutput& out = rt_->pipe.run_round(rt_->meas, solve_rng_, dt_s);
+  if (latencies != nullptr)
+    latencies->push_back(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
+
+  metrics_.note_round(out);
+  record_.round = index;
+  record_.localized = out.localized;
+  record_.normalized_stress = out.localized ? out.localization.normalized_stress : 0.0;
+  record_.error_2d = out.error_2d;
+  record_.tracked_error_2d = out.tracked_error_2d;
+  if (recorder_ != nullptr) recorder_->on_round_result(id, record_);
+  return record_;
+}
+
+void SessionConsumer::evict() {
+  if (state_ == SessionState::kActive) {
+    arena_->release(std::move(rt_));
+    if (telemetry_ != nullptr) {
+      telemetry_->count(telemetry::Counter::kEvicts);
+      telemetry_->count(telemetry::Counter::kEvictDevices,
+                        sc_->scene.protocol.num_devices);
+    }
   }
-
-  maybe_evict(arena, recorder, telemetry);
-}
-
-void Session::record_round(const pipeline::RoundOutput& out, std::uint32_t round_index,
-                           SessionRecorder* recorder) {
-  if (recorder == nullptr) return;
-  record_scratch_.round = round_index;
-  record_scratch_.localized = out.localized;
-  record_scratch_.normalized_stress =
-      out.localized ? out.localization.normalized_stress : 0.0;
-  record_scratch_.error_2d = out.error_2d;
-  record_scratch_.tracked_error_2d = out.tracked_error_2d;
-  recorder->on_round_result(sc_->session_id, record_scratch_);
-}
-
-void Session::maybe_evict(ShardArena& arena, SessionRecorder* recorder,
-                          telemetry::ShardStream* telemetry) {
-  if (!feed_.exhausted()) return;
-  arena.release(std::move(rt_));
-  feed_.close();
   state_ = SessionState::kEvicted;
-  if (recorder != nullptr) recorder->on_evict(sc_->session_id);
-  if (telemetry != nullptr) {
-    telemetry->count(telemetry::Counter::kEvicts);
-    telemetry->count(telemetry::Counter::kEvictDevices,
-                     sc_->scene.protocol.num_devices);
-  }
 }
+
+// --- Session ----------------------------------------------------------------
+
+Session::Session(const sim::GroupScenario& scenario, std::uint64_t master_seed)
+    : feed_(scenario, master_seed), consumer_(scenario, master_seed) {}
 
 void Session::tick(std::size_t tick, ShardArena& arena, SessionRecorder* recorder,
                    std::vector<double>* latencies,
                    telemetry::ShardStream* telemetry) {
-  if (state_ == SessionState::kEvicted) return;
-  if (state_ == SessionState::kPending) {
-    if (tick < sc_->admit_tick) return;
-    admit(arena, recorder, telemetry);
+  if (consumer_.state() == SessionState::kEvicted) return;
+  if (consumer_.state() == SessionState::kPending) {
+    if (tick < feed_.scenario().admit_tick) return;
+    consumer_.admit(arena, recorder, telemetry);
+    feed_.open();
   }
-  run_event(arena, recorder, latencies, telemetry);
+
+  const double dt = feed_.next_dt_s();
+  if (feed_.next(consumer_.measurement()) == MeasurementFeed::Event::kCoast) {
+    consumer_.coast(dt);
+  } else {
+    const auto index = static_cast<std::uint32_t>(consumer_.metrics().rounds);
+    consumer_.round(index, dt, latencies);
+  }
+
+  if (feed_.exhausted()) {
+    feed_.close();
+    consumer_.evict();
+  }
 }
 
 }  // namespace uwp::fleet

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "des/mobility.hpp"
@@ -154,15 +155,23 @@ class ShardArena {
 // live service and the trace replayer, which must agree exactly).
 pipeline::PipelineOptions pipeline_options_for(const sim::GroupScenario& sc);
 
+// The workload contract FleetService and Server serve under:
+// workload[i].session_id == i and lifetime_rounds >= 1. A zero-lifetime
+// session would either run one round anyway (eviction is checked after the
+// event) or never be admitted, depending on unrelated sessions' timelines.
+// Throws std::invalid_argument, prefixed with `owner`, otherwise.
+void check_workload(const std::vector<sim::GroupScenario>& workload, const char* owner);
+
 // --- measurement feed -------------------------------------------------------
 
 // The client side of a session: the deterministic event stream its devices
 // produce — dropout draws, closed-form motion, front-end sampling — with no
 // serving-side state attached. The live FleetService couples producer and
-// consumer in-process (Session owns a feed); the ingest server's workload
-// feeder runs the same feed on the producer side of a Transport. Both paths
-// consume the identical measurement rng stream, so a served fleet is
-// bit-identical to the synchronous one on the same (workload, master_seed).
+// consumer in-process (Session owns a feed and a SessionConsumer); the
+// ingest server's workload feeder runs the same feed on the producer side
+// of a Transport. Both paths consume the identical measurement rng stream,
+// so a served fleet is bit-identical to the synchronous one on the same
+// (workload, master_seed).
 class MeasurementFeed {
  public:
   MeasurementFeed(const sim::GroupScenario& scenario, std::uint64_t master_seed);
@@ -197,48 +206,91 @@ class MeasurementFeed {
   std::shared_ptr<const des::MobilityModel> mobility_;  // closed-form motion
 };
 
-// --- session ----------------------------------------------------------------
+// --- session consumer -------------------------------------------------------
 
 enum class SessionState : std::uint8_t { kPending, kActive, kEvicted };
 
-class Session {
+// The serving side of a session, the counterpart of MeasurementFeed: the
+// leased runtime, the solver stream and the metrics behind one
+// pending -> active -> evicted state machine. Every serving loop runs rounds
+// through it — FleetService's Session (feed and consumer in one process),
+// the ingest Server's workers (frames off a Transport) and the trace
+// Replayer (recorded bytes) — so the admit/coast/round/evict accounting,
+// the recorder hooks and the device-count guard on decoded bytes exist
+// once.
+class SessionConsumer {
  public:
-  Session(const sim::GroupScenario& scenario, std::uint64_t master_seed);
+  SessionConsumer(const sim::GroupScenario& scenario, std::uint64_t master_seed);
 
   SessionState state() const { return state_; }
   const SessionMetrics& metrics() const { return metrics_; }
   SessionMetrics take_metrics() { return std::move(metrics_); }
 
+  // Lease a runtime from `arena` and go active. `recorder`, when set,
+  // captures the session's trace; `telemetry`, when set, receives the
+  // admit/coast/evict counters and is bound into the pipeline for stage
+  // spans (the caller keeps its virtual time current). Both stay bound
+  // until evict(). Requires kPending.
+  void admit(ShardArena& arena, SessionRecorder* recorder,
+             telemetry::ShardStream* telemetry);
+
+  // Coast the tracker through a round without a measurement (device-side
+  // dropout or server-side shed). Requires kActive.
+  void coast(double dt_s);
+
+  // The leased buffer the next round() runs on: a front-end fills it in
+  // place, or decode() fills it from wire bytes. Requires kActive.
+  pipeline::RoundMeasurement& measurement() { return rt_->meas; }
+  // Decode one wire-encoded measurement into measurement(). A record is only
+  // internally consistent, and the pipeline indexes by the scenario's device
+  // count, so a record for another group size throws WireError here rather
+  // than being read out of bounds downstream.
+  void decode(std::span<const std::uint8_t> bytes);
+
+  // Run round `index` on measurement() and return its result record.
+  // `latencies`, when set, receives the wall-clock of the run_round call.
+  const RoundRecord& round(std::uint32_t index, double dt_s,
+                           std::vector<double>* latencies);
+
+  // End the session from any state; an active one returns its runtime to
+  // the arena.
+  void evict();
+
+ private:
+  const sim::GroupScenario* sc_;
+  SessionState state_ = SessionState::kPending;
+  uwp::Rng solve_rng_;
+  SessionMetrics metrics_;
+  RoundRecord record_;
+  std::unique_ptr<SessionRuntime> rt_;
+  ShardArena* arena_ = nullptr;
+  SessionRecorder* recorder_ = nullptr;
+  telemetry::ShardStream* telemetry_ = nullptr;
+};
+
+// --- session ----------------------------------------------------------------
+
+// A FleetService session: its MeasurementFeed coupled in-process to its
+// SessionConsumer.
+class Session {
+ public:
+  Session(const sim::GroupScenario& scenario, std::uint64_t master_seed);
+
+  SessionMetrics take_metrics() { return consumer_.take_metrics(); }
+
   // Advance one scheduler tick: admit at the scenario's admit tick (leasing
   // a runtime from `arena`), then run one round — or coast through a jammed
   // one — per tick until the scheduled lifetime is exhausted, then evict
-  // (returning the runtime to `arena`). `latencies`, when set, receives the
-  // wall-clock of each run_round call; `recorder`, when set, captures the
-  // session's trace; `telemetry`, when set, receives the admit/coast/evict
-  // counters and is bound into the pipeline for stage spans (the caller has
-  // already set its virtual time to this tick).
+  // (returning the runtime to `arena`). `latencies`, `recorder` and
+  // `telemetry` are as for SessionConsumer (the caller has already set the
+  // stream's virtual time to this tick).
   void tick(std::size_t tick, ShardArena& arena, SessionRecorder* recorder,
             std::vector<double>* latencies,
             telemetry::ShardStream* telemetry = nullptr);
 
  private:
-  void admit(ShardArena& arena, SessionRecorder* recorder,
-             telemetry::ShardStream* telemetry);
-  void run_event(ShardArena& arena, SessionRecorder* recorder,
-                 std::vector<double>* latencies,
-                 telemetry::ShardStream* telemetry);
-  void record_round(const pipeline::RoundOutput& out, std::uint32_t round_index,
-                    SessionRecorder* recorder);
-  void maybe_evict(ShardArena& arena, SessionRecorder* recorder,
-                   telemetry::ShardStream* telemetry);
-
-  const sim::GroupScenario* sc_;
-  SessionState state_ = SessionState::kPending;
   MeasurementFeed feed_;
-  uwp::Rng solve_rng_;
-  std::unique_ptr<SessionRuntime> rt_;
-  SessionMetrics metrics_;
-  RoundRecord record_scratch_;
+  SessionConsumer consumer_;
 };
 
 }  // namespace uwp::fleet

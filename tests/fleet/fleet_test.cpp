@@ -161,14 +161,19 @@ TEST(FleetRecordReplay, ReplayReproducesPerSessionMetricsBitForBit) {
   sim::WorkloadParams params = small_params(64, 0x5EEDu);
   params.min_rounds = 3;
   params.max_rounds = 6;
+  telemetry::TelemetryOptions tel;
+  tel.enabled = true;
+  tel.timing = false;
+  tel.window = 4.0;
 
   FleetOptions fo;
   fo.master_seed = 0xCAFEu;
-  fo.shards = 0;  // any shard count; the trace is shard-independent
+  fo.shards = 3;  // any shard count; the trace is shard-independent
   FleetService service(fo, sim::make_workload(params));
 
   SessionRecorder recorder(fo.master_seed, params);
-  const FleetResult live = service.run(&recorder);
+  telemetry::Collector live_col(tel);
+  const FleetResult live = service.run(&recorder, &live_col);
 
   // File round trip, then replay from the loaded trace.
   const char* path = "fleet_replay_test.trace";
@@ -183,12 +188,24 @@ TEST(FleetRecordReplay, ReplayReproducesPerSessionMetricsBitForBit) {
   EXPECT_EQ(first.str(), second.str());
 
   const Replayer replayer(loaded);
-  const Replayer::ReplayResult replay = replayer.replay();
+  telemetry::Collector replay_col(tel);
+  const Replayer::ReplayResult replay = replayer.replay(&replay_col);
 
   // The recomputed per-round results matched the recorded ones...
   EXPECT_EQ(replay.result_mismatches, 0u);
   // ...and the whole fleet aggregate is bit-identical to the live run.
   expect_bit_identical(live, replay.fleet);
+
+  // The rebuilt counter plane (admits, leases, coasts, evicts, page for
+  // page) equals the live one at 3 shards and, like the trace, at 1.
+  const telemetry::TelemetryReport replayed = replay_col.report();
+  EXPECT_GT(replayed.totals[static_cast<std::size_t>(telemetry::Counter::kArenaLeases)],
+            0u);
+  EXPECT_TRUE(live_col.report().counters_equal(replayed));
+  fo.shards = 1;
+  telemetry::Collector serial_col(tel);
+  FleetService(fo, service.workload()).run(nullptr, &serial_col);
+  EXPECT_TRUE(serial_col.report().counters_equal(replayed));
 }
 
 TEST(FleetRecordReplay, CorruptTracesAreRejected) {

@@ -381,6 +381,32 @@ TEST(FleetServer, RejectsUnknownSessionIdAndMalformedFrames) {
       EXPECT_NE(std::string(e.what()).find("device count"), std::string::npos);
     }
   }
+  // kBye ends a session in every state: any later frame for that id fails
+  // the serve instead of re-leasing a runtime (which would wipe the
+  // session's recorded trace while its metrics kept accumulating).
+  const std::vector<std::vector<IngestKind>> after_bye = {
+      {IngestKind::kCoast, IngestKind::kBye, IngestKind::kCoast},
+      {IngestKind::kCoast, IngestKind::kBye, IngestKind::kBye},
+      {IngestKind::kBye, IngestKind::kCoast}};
+  for (const std::vector<IngestKind>& kinds : after_bye) {
+    Server server({}, workload);
+    RingBufferTransport transport(4);
+    for (const IngestKind kind : kinds) {
+      IngestFrame f;
+      f.kind = kind;
+      f.session_id = 0;
+      std::vector<std::uint8_t> bytes;
+      encode_ingest_frame(f, bytes);
+      ASSERT_TRUE(transport.send(std::move(bytes)));
+    }
+    transport.close();
+    try {
+      server.serve(transport);
+      FAIL() << "frame after kBye accepted (" << kinds.size() << " frames)";
+    } catch (const WireError& e) {
+      EXPECT_NE(std::string(e.what()).find("after its kBye"), std::string::npos);
+    }
+  }
 }
 
 }  // namespace

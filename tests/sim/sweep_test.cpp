@@ -176,12 +176,16 @@ TEST(SweepRunner, WarmContextReuseAcrossSweeps) {
   so.threads = 2;
   const SweepResult first = SweepRunner(so).run(factory, trial);
   ASSERT_LE(created, 2u);  // at most one context per lane
-  const std::size_t after_first = created;
   EXPECT_EQ(pool.size(), created);  // every context came back to the pool
 
   const SweepResult second = SweepRunner(so).run(factory, trial);
-  // The second sweep ran entirely on the first sweep's warm contexts...
-  EXPECT_EQ(created, after_first);
+  // The second sweep drew on the first sweep's warm contexts before building
+  // any: a lane only creates one when the pool is empty, so the two sweeps
+  // together never hold more contexts than lanes. (How many the first sweep
+  // built is a scheduling accident: one pool thread may claim every trial
+  // before the other lane starts.)
+  EXPECT_LE(created, 2u);
+  EXPECT_EQ(pool.size(), created);
   std::size_t trials_run = 0;
   for (const auto& ctx : pool) trials_run += ctx->trials_run;
   EXPECT_EQ(trials_run, 2 * so.trials);
