@@ -24,6 +24,15 @@ bool advance_subset(std::vector<std::size_t>& idx, std::size_t n) {
   return false;
 }
 
+constexpr std::size_t kNoCandidate = std::numeric_limits<std::size_t>::max();
+
+// The serial accept rule as an order: a strictly lower stress wins and a tie
+// goes to the lower enumeration index; nothing ties the level's start.
+bool beats(double stress, std::size_t ci, double best_stress, std::size_t best_ci) {
+  return stress < best_stress ||
+         (stress == best_stress && best_ci != kNoCandidate && ci < best_ci);
+}
+
 }  // namespace
 
 std::vector<std::vector<std::size_t>> subsets_of_size(std::size_t n, std::size_t k) {
@@ -81,23 +90,14 @@ void localize_with_outlier_detection_into(OutlierResult& out, const Matrix& dist
   if (base.normalized_stress < opts.stress_threshold) return;
 
   out.outliers_suspected = true;
-  double e0 = base.normalized_stress;
-  std::vector<Vec2>& p0 = ws.p0;
-  p0.assign(base.positions.begin(), base.positions.end());
-  std::vector<std::size_t>& dropped_so_far = ws.dropped_so_far;  // links[] indices
-  dropped_so_far.clear();
 
   // Candidate pool: all links while the subset enumeration stays cheap;
   // past max_suspect_links, only the worst-fitting links of the initial
-  // solve are eligible (see OutlierOptions::max_suspect_links). Every
-  // candidate solve is a warm start from the current best layout (no random
-  // restarts, no rng draws) with the realizability check deferred until a
-  // candidate actually improves — a warm solve is cheaper than the check.
-  const bool pruned = links.size() > opts.max_suspect_links;
+  // solve are eligible (see OutlierOptions::max_suspect_links).
   std::vector<std::size_t>& pool = ws.pool;
   pool.resize(links.size());
   for (std::size_t li = 0; li < links.size(); ++li) pool[li] = li;
-  if (pruned) {
+  if (links.size() > opts.max_suspect_links) {
     std::vector<double>& residual = ws.residual;
     residual.resize(links.size());
     for (std::size_t li = 0; li < links.size(); ++li) {
@@ -112,151 +112,92 @@ void localize_with_outlier_detection_into(OutlierResult& out, const Matrix& dist
     pool.resize(opts.max_suspect_links);
     std::sort(pool.begin(), pool.end());  // keep enumeration order stable
   }
-  // Warm candidate solves draw nothing from `rng`, so either regime can fan
-  // candidates across a pool; the reduction below walks candidates in
-  // enumeration order, making the result bit-identical at any thread count.
-  const std::size_t search_threads =
-      opts.search_threads != 1 ? ThreadPool::resolve_thread_count(opts.search_threads)
-                               : 1;
+  // One search loop at any thread count. Each level materializes its
+  // subsets in enumeration order, evaluates them on lanes (lane 0 inline at
+  // one thread, else fanned out across the pool), and reduces the lane
+  // bests by (stress, index). Candidate solves warm-start from the best
+  // layout so far and draw nothing from `rng`, every lane applies the
+  // serial accept rule, and iterations are an integer sum, so the result is
+  // bit-identical at any thread count.
+  const std::size_t threads = ThreadPool::resolve_thread_count(opts.search_threads);
+  if (threads > 1 && (!ws.search_pool || ws.search_pool->size() != threads))
+    ws.search_pool = std::make_unique<ThreadPool>(threads);
+  if (ws.lanes.size() < threads) ws.lanes.resize(threads);
 
-  Matrix& w = ws.w;
-  std::vector<Edge>& remaining = ws.remaining;
-  std::vector<Vec2>& p_min = ws.p_min;
-  SmacofResult& cand = ws.cand;
-
-  for (int ndrop = 1; ndrop <= opts.max_outliers; ++ndrop) {
-    double e_min = e0;
-    p_min.assign(p0.begin(), p0.end());
-    std::vector<std::size_t>& best_subset = ws.best_subset;
-    best_subset.clear();
-
-    const std::size_t k = static_cast<std::size_t>(ndrop);
-    if (k > pool.size()) continue;
-    std::vector<std::size_t>& slots = ws.subset_slots;
+  // `out` holds the best layout so far.
+  std::vector<std::size_t>& dropped = ws.dropped;  // links[] indices
+  dropped.clear();
+  std::vector<std::size_t>& flat = ws.flat_subsets;
+  std::vector<std::size_t>& slots = ws.subset_slots;
+  const std::size_t max_drop = static_cast<std::size_t>(std::max(opts.max_outliers, 0));
+  for (std::size_t k = 1; k <= max_drop && k <= pool.size(); ++k) {
+    flat.clear();
     slots.resize(k);
     for (std::size_t i = 0; i < k; ++i) slots[i] = i;
-    std::vector<std::size_t>& subset = ws.subset;
+    do {
+      for (std::size_t i = 0; i < k; ++i) flat.push_back(pool[slots[i]]);
+    } while (advance_subset(slots, pool.size()));
+    const std::size_t m = flat.size() / k;
 
-    if (search_threads > 1) {
-      // Materialize this level's candidate subsets (link indices, flattened
-      // k at a time, in enumeration order).
-      std::vector<std::size_t>& flat = ws.flat_subsets;
-      flat.clear();
-      bool more = true;
-      while (more) {
-        for (std::size_t i = 0; i < k; ++i) flat.push_back(pool[slots[i]]);
-        more = advance_subset(slots, pool.size());
-      }
-      const std::size_t m = flat.size() / k;
-      ws.cand_stress.resize(m);
-      ws.cand_iters.resize(m);
-      if (!ws.search_pool || ws.search_pool->size() != search_threads)
-        ws.search_pool = std::make_unique<ThreadPool>(search_threads);
-      if (ws.lanes.size() < ws.search_pool->size())
-        ws.lanes.resize(ws.search_pool->size());
-      ws.search_pool->parallel_for_lanes(m, [&](std::size_t lane_idx, std::size_t ci) {
-        OutlierWorkspace::SearchLane& lane = ws.lanes[lane_idx];
-        lane.w = weights;
-        for (std::size_t t = 0; t < k; ++t) {
-          const Edge& e = links[flat[ci * k + t]];
-          lane.w(e.first, e.second) = 0.0;
-          lane.w(e.second, e.first) = 0.0;
+    const double e0 = out.normalized_stress;
+    for (OutlierWorkspace::SearchLane& lane : ws.lanes) {
+      lane.iterations = 0;
+      lane.best_stress = e0;
+      lane.best_ci = kNoCandidate;
+    }
+    const auto eval = [&](std::size_t lane_idx, std::size_t ci) {
+      OutlierWorkspace::SearchLane& lane = ws.lanes[lane_idx];
+      const std::size_t* subset = flat.data() + ci * k;
+      // Build the candidate weight matrix with this subset removed.
+      lane.w = weights;
+      lane.remaining.clear();
+      for (std::size_t li = 0; li < links.size(); ++li) {
+        if (std::find(subset, subset + k, li) != subset + k) {
+          lane.w(links[li].first, links[li].second) = 0.0;
+          lane.w(links[li].second, links[li].first) = 0.0;
+        } else {
+          lane.remaining.push_back(links[li]);
         }
-        smacof_2d_into(lane.result, dist, lane.w, warm, lane.rng, &p0, lane.smacof);
-        ws.cand_stress[ci] = lane.result.normalized_stress;
-        ws.cand_iters[ci] = lane.result.iterations;
-      });
-      // Integer sum in enumeration order: thread-count invariant.
-      for (std::size_t ci = 0; ci < m; ++ci) out.iterations += ws.cand_iters[ci];
-      // Serial reduction in enumeration order, replicating the serial
-      // accept logic (including when realizability gets checked).
-      std::size_t best_ci = std::numeric_limits<std::size_t>::max();
-      for (std::size_t ci = 0; ci < m; ++ci) {
-        const double ns = ws.cand_stress[ci];
-        const bool significant = e0 - ns > opts.drop_ratio * e0;
-        if (!significant || ns >= e_min) continue;
-        subset.assign(flat.begin() + static_cast<std::ptrdiff_t>(ci * k),
-                      flat.begin() + static_cast<std::ptrdiff_t>((ci + 1) * k));
-        remaining.clear();
-        for (std::size_t li = 0; li < links.size(); ++li)
-          if (std::find(subset.begin(), subset.end(), li) == subset.end())
-            remaining.push_back(links[li]);
-        if (!is_uniquely_realizable_2d(n, remaining)) continue;
-        e_min = ns;
-        best_ci = ci;
       }
-      if (best_ci != std::numeric_limits<std::size_t>::max()) {
-        subset.assign(flat.begin() + static_cast<std::ptrdiff_t>(best_ci * k),
-                      flat.begin() + static_cast<std::ptrdiff_t>((best_ci + 1) * k));
-        best_subset = subset;
-        // Re-solve the winner to recover its layout; the warm solve is
-        // deterministic, so this reproduces the lane's result exactly.
-        w = weights;
-        for (std::size_t li : subset) {
-          w(links[li].first, links[li].second) = 0.0;
-          w(links[li].second, links[li].first) = 0.0;
-        }
-        smacof_2d_into(cand, dist, w, warm, rng, &p0, ws.smacof_cand);
-        out.iterations += cand.iterations;
-        p_min.assign(cand.positions.begin(), cand.positions.end());
-      }
+      smacof_2d_into(lane.result, dist, lane.w, warm, lane.rng, &out.positions,
+                     lane.smacof);
+      lane.iterations += lane.result.iterations;
+      const double ns = lane.result.normalized_stress;
+      const bool significant = e0 - ns > opts.drop_ratio * e0;
+      if (!significant || !beats(ns, ci, lane.best_stress, lane.best_ci)) return;
+      // Only accept when the remaining graph is still uniquely realizable —
+      // otherwise the "improvement" is just the looser problem. Checking is
+      // pricier than a warm-started solve, so it waits for candidates that
+      // actually improve the stress.
+      if (!is_uniquely_realizable_2d(n, lane.remaining)) return;
+      lane.best_stress = ns;
+      lane.best_ci = ci;
+      lane.best_positions.assign(lane.result.positions.begin(),
+                                 lane.result.positions.end());
+    };
+    if (threads > 1) {
+      ws.search_pool->parallel_for_lanes(m, eval);
     } else {
-      bool more = true;
-      while (more) {
-        subset.resize(k);
-        for (std::size_t i = 0; i < k; ++i) subset[i] = pool[slots[i]];
-        more = advance_subset(slots, pool.size());
-
-        // Build the candidate weight matrix with this subset removed.
-        w = weights;
-        remaining.clear();
-        for (std::size_t li = 0; li < links.size(); ++li) {
-          const bool dropped =
-              std::find(subset.begin(), subset.end(), li) != subset.end();
-          if (dropped) {
-            w(links[li].first, links[li].second) = 0.0;
-            w(links[li].second, links[li].first) = 0.0;
-          } else {
-            remaining.push_back(links[li]);
-          }
-        }
-        smacof_2d_into(cand, dist, w, warm, rng, &p0, ws.smacof_cand);
-        out.iterations += cand.iterations;
-        const bool significant = e0 - cand.normalized_stress > opts.drop_ratio * e0;
-        if (significant && cand.normalized_stress < e_min) {
-          // Only accept when the remaining graph is still uniquely
-          // realizable — otherwise the "improvement" is just the looser
-          // problem. Checking is pricier than a warm-started solve, so it
-          // waits for candidates that actually improve the stress.
-          if (!is_uniquely_realizable_2d(n, remaining)) continue;
-          e_min = cand.normalized_stress;
-          p_min.assign(cand.positions.begin(), cand.positions.end());
-          best_subset = subset;
-        }
-      }
+      for (std::size_t ci = 0; ci < m; ++ci) eval(0, ci);
     }
 
-    if (e_min < opts.stress_threshold) {
-      out.positions.assign(p_min.begin(), p_min.end());
-      out.normalized_stress = e_min;
-      for (std::size_t li : best_subset) {
-        out.dropped_links.push_back(links[li]);
-        out.weights(links[li].first, links[li].second) = 0.0;
-        out.weights(links[li].second, links[li].first) = 0.0;
-      }
-      return;
+    const OutlierWorkspace::SearchLane* best = &ws.lanes[0];
+    for (const OutlierWorkspace::SearchLane& lane : ws.lanes) {
+      out.iterations += lane.iterations;
+      if (beats(lane.best_stress, lane.best_ci, best->best_stress, best->best_ci))
+        best = &lane;
     }
-    // Keep the best found so far and try dropping a larger subset.
-    if (!best_subset.empty()) {
-      e0 = e_min;
-      p0.assign(p_min.begin(), p_min.end());
-      dropped_so_far = best_subset;
-    }
+    // Keep the best found so far; stop once it is below the threshold,
+    // else try dropping a larger subset.
+    if (best->best_ci == kNoCandidate) continue;
+    out.positions.assign(best->best_positions.begin(), best->best_positions.end());
+    out.normalized_stress = best->best_stress;
+    const std::size_t* subset = flat.data() + best->best_ci * k;
+    dropped.assign(subset, subset + k);
+    if (out.normalized_stress < opts.stress_threshold) break;
   }
 
-  out.positions.assign(p0.begin(), p0.end());
-  out.normalized_stress = e0;
-  for (std::size_t li : dropped_so_far) {
+  for (std::size_t li : dropped) {
     out.dropped_links.push_back(links[li]);
     out.weights(links[li].first, links[li].second) = 0.0;
     out.weights(links[li].second, links[li].first) = 0.0;

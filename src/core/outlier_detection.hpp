@@ -41,11 +41,12 @@ struct OutlierOptions {
   // C(8, 2): every fully-connected group up to the paper's largest (N = 8)
   // keeps the exhaustive subset enumeration.
   std::size_t max_suspect_links = 28;
-  // Worker threads for the candidate-subset search. Candidate solves are
-  // warm-started and draw no randomness, so the fan-out is deterministic in
-  // both regimes: stresses are reduced in enumeration order and the result
-  // is bit-identical at any thread count. 1 = serial (the default — and the
-  // right setting when an outer sweep already parallelizes trials); 0 = all
+  // Worker threads for the candidate-subset search. Every thread count runs
+  // the same loop: candidate solves are warm-started and draw no
+  // randomness, and per-thread bests are reduced by (stress, enumeration
+  // index), so the result — solver iterations included — is bit-identical
+  // at any thread count. 1 = serial, no pool (the default — and the right
+  // setting when an outer sweep already parallelizes trials); 0 = all
   // hardware threads.
   std::size_t search_threads = 1;
   SmacofOptions smacof{};
@@ -59,9 +60,9 @@ struct OutlierResult {
   // Final weight matrix actually used (input weights minus dropped links).
   Matrix weights;
   // Total SMACOF iterations spent on this round (base solve + every
-  // candidate solve). A pure function of the inputs — the parallel pruned
-  // search sums per-candidate counts in enumeration order — so it is part
-  // of the deterministic telemetry plane, not a timing.
+  // candidate solve, each solved exactly once). A pure function of the
+  // inputs at any search_threads, so it is part of the deterministic
+  // telemetry plane, not a timing.
   std::int64_t iterations = 0;
 };
 
@@ -74,33 +75,34 @@ OutlierResult localize_with_outlier_detection(const Matrix& dist, const Matrix& 
                                               const OutlierOptions& opts, uwp::Rng& rng,
                                               const std::vector<Vec2>* init = nullptr);
 
-// Reusable scratch for the workspace variant. Two SMACOF workspaces: the
-// base one keeps its V^+ cache warm across rounds (clean rounds repeat the
-// same weight pattern); candidate solves churn through their own so they
-// never evict it.
+// Reusable scratch for the workspace variant. The base SMACOF workspace
+// keeps its V^+ cache warm across rounds (clean rounds repeat the same
+// weight pattern); candidate solves run on search lanes with their own, so
+// they never evict it.
 struct OutlierWorkspace {
-  SmacofWorkspace smacof_base, smacof_cand;
-  SmacofResult base, cand;
-  std::vector<Edge> links, remaining;
-  std::vector<std::size_t> pool, subset_slots, subset, best_subset, dropped_so_far;
+  SmacofWorkspace smacof_base;
+  SmacofResult base;
+  std::vector<Edge> links;
+  std::vector<std::size_t> pool, subset_slots, flat_subsets, dropped;
   std::vector<double> residual;
-  std::vector<Vec2> p0, p_min;
-  Matrix w;  // candidate weight matrix
 
-  // Parallel pruned-search state (used when search_threads != 1): one lane
-  // of scratch per pool worker, a flattened subset list, and the per-
-  // candidate stresses reduced serially in enumeration order.
+  // One lane of candidate scratch per search thread. At one thread lane 0
+  // runs inline and no pool is built; otherwise the pool drives every lane.
+  // Each lane sums its solver iterations and keeps its best realizable
+  // candidate (stress, index into flat_subsets, layout).
   struct SearchLane {
     SmacofWorkspace smacof;
     SmacofResult result;
     Matrix w;
+    std::vector<Edge> remaining;
     Rng rng{0};  // never drawn from (warm solves have no restarts)
+    std::int64_t iterations = 0;
+    double best_stress = 0.0;
+    std::size_t best_ci = 0;
+    std::vector<Vec2> best_positions;
   };
   std::unique_ptr<ThreadPool> search_pool;
   std::vector<SearchLane> lanes;
-  std::vector<std::size_t> flat_subsets;
-  std::vector<double> cand_stress;
-  std::vector<std::int64_t> cand_iters;
 };
 
 // Workspace variant: bit-identical to the allocating form, no steady-state

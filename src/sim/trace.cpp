@@ -1,5 +1,6 @@
 #include "sim/trace.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
@@ -34,10 +35,16 @@ std::vector<double> read_samples(std::istream& in) {
   const auto n = read_pod<std::uint64_t>(in);
   if (n > (1ull << 32))
     throw std::runtime_error("trace: implausible sample count");
-  std::vector<double> xs(n);
-  in.read(reinterpret_cast<char*>(xs.data()),
-          static_cast<std::streamsize>(n * sizeof(double)));
-  if (!in) throw std::runtime_error("trace: truncated samples");
+  // `n` is untrusted and the stream may not be seekable: grow the vector a
+  // bounded chunk (64 Ki samples) at a time, only as samples arrive.
+  std::vector<double> xs;
+  while (xs.size() < n) {
+    const std::size_t got = xs.size();
+    xs.resize(got + std::min<std::uint64_t>(n - got, 1u << 16));
+    in.read(reinterpret_cast<char*>(xs.data() + got),
+            static_cast<std::streamsize>((xs.size() - got) * sizeof(double)));
+    if (!in) throw std::runtime_error("trace: truncated samples");
+  }
   return xs;
 }
 
@@ -67,8 +74,8 @@ ReceptionTrace read_trace(std::istream& in) {
   if (version != kVersion) throw std::runtime_error("trace: unsupported version");
   const auto count = read_pod<std::uint32_t>(in);
 
+  // No reserve: `count` is untrusted, and each reception must arrive in full.
   ReceptionTrace trace;
-  trace.receptions.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     channel::Reception rec;
     rec.fs_hz = read_pod<double>(in);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "core/ambiguity.hpp"
 #include "core/outlier_detection.hpp"
@@ -15,6 +16,24 @@ Matrix distance_matrix(const std::vector<Vec2>& pts) {
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j) d(i, j) = distance(pts[i], pts[j]);
   return d;
+}
+
+// Runs Algorithm 1 at search_threads = 1 and 4 from the same rng seed,
+// checks the fan-out reproduces the serial result exactly, and returns the
+// serial result for the caller's own assertions.
+OutlierResult localize_at_both_thread_counts(const Matrix& d, const Matrix& w,
+                                             OutlierOptions opts, std::uint64_t seed) {
+  opts.search_threads = 1;
+  uwp::Rng serial_rng(seed);
+  const OutlierResult serial = localize_with_outlier_detection(d, w, opts, serial_rng);
+  opts.search_threads = 4;
+  uwp::Rng fanned_rng(seed);
+  const OutlierResult fanned = localize_with_outlier_detection(d, w, opts, fanned_rng);
+  EXPECT_EQ(fanned.positions, serial.positions);
+  EXPECT_EQ(fanned.normalized_stress, serial.normalized_stress);
+  EXPECT_EQ(fanned.dropped_links, serial.dropped_links);
+  EXPECT_EQ(fanned.iterations, serial.iterations);
+  return serial;
 }
 
 TEST(Subsets, EnumerationCounts) {
@@ -35,24 +54,20 @@ TEST(Subsets, ElementsAreSortedAndUnique) {
 }
 
 TEST(OutlierDetection, CleanDataPassesThrough) {
-  uwp::Rng rng(1);
   const std::vector<Vec2> truth = {{0, 0}, {8, 1}, {3, 9}, {-6, 4}, {-2, -7}};
   const Matrix d = distance_matrix(truth);
-  const OutlierResult res =
-      localize_with_outlier_detection(d, Matrix::ones(5, 5), {}, rng);
+  const OutlierResult res = localize_at_both_thread_counts(d, Matrix::ones(5, 5), {}, 1);
   EXPECT_FALSE(res.outliers_suspected);
   EXPECT_TRUE(res.dropped_links.empty());
   EXPECT_LT(aligned_rmse(res.positions, truth), 0.05);
 }
 
 TEST(OutlierDetection, SingleCorruptedLinkFoundAndDropped) {
-  uwp::Rng rng(2);
   const std::vector<Vec2> truth = {{0, 0}, {10, 0}, {4, 9}, {-7, 5}, {-3, -8}};
   Matrix d = distance_matrix(truth);
   // Occluded link 0-1: multipath adds ~7 m.
   d(0, 1) = d(1, 0) = d(0, 1) + 7.0;
-  const OutlierResult res =
-      localize_with_outlier_detection(d, Matrix::ones(5, 5), {}, rng);
+  const OutlierResult res = localize_at_both_thread_counts(d, Matrix::ones(5, 5), {}, 2);
   EXPECT_TRUE(res.outliers_suspected);
   ASSERT_EQ(res.dropped_links.size(), 1u);
   EXPECT_EQ(res.dropped_links[0], (Edge{0, 1}));
@@ -63,14 +78,12 @@ TEST(OutlierDetection, SingleCorruptedLinkFoundAndDropped) {
 TEST(OutlierDetection, OutlierErrorBelowTriangleInequalityStillCaught) {
   // The paper notes occlusion errors often do NOT break the triangle
   // inequality; stress-based detection must still catch them.
-  uwp::Rng rng(3);
   const std::vector<Vec2> truth = {{0, 0}, {12, 0}, {6, 10}, {-8, 6}, {-4, -9}};
   Matrix d = distance_matrix(truth);
   const double bumped = d(0, 1) + 4.0;  // 16 m: within 0-2-1 path (~22 m)
   d(0, 1) = d(1, 0) = bumped;
   EXPECT_LT(bumped, d(0, 2) + d(2, 1));  // triangle inequality intact
-  const OutlierResult res =
-      localize_with_outlier_detection(d, Matrix::ones(5, 5), {}, rng);
+  const OutlierResult res = localize_at_both_thread_counts(d, Matrix::ones(5, 5), {}, 3);
   EXPECT_TRUE(res.outliers_suspected);
   ASSERT_FALSE(res.dropped_links.empty());
   EXPECT_EQ(res.dropped_links[0], (Edge{0, 1}));
@@ -80,20 +93,18 @@ TEST(OutlierDetection, RefusesDropsThatBreakRealizability) {
   // With only 2n-3 + 1 links, dropping the "outlier" would leave a graph
   // that is not uniquely realizable -> the drop must not be attempted even
   // if it would reduce stress.
-  uwp::Rng rng(4);
   const std::vector<Vec2> truth = {{0, 0}, {10, 0}, {5, 8}, {-5, 8}};
   Matrix d = distance_matrix(truth);
   Matrix w = Matrix::ones(4, 4);
   // K4 has 6 edges and is redundantly rigid; removing any one edge leaves a
   // Laman graph which is NOT redundantly rigid -> no drop is allowed.
   d(0, 1) = d(1, 0) = d(0, 1) + 6.0;  // corrupt one link anyway
-  const OutlierResult res = localize_with_outlier_detection(d, w, {}, rng);
+  const OutlierResult res = localize_at_both_thread_counts(d, w, {}, 4);
   EXPECT_TRUE(res.outliers_suspected);
   EXPECT_TRUE(res.dropped_links.empty());
 }
 
 TEST(OutlierDetection, MaxOutlierBudgetRespected) {
-  uwp::Rng rng(5);
   const std::vector<Vec2> truth = {{0, 0},  {12, 0}, {5, 11}, {-9, 6},
                                    {-5, -9}, {8, -7}};
   Matrix d = distance_matrix(truth);
@@ -104,8 +115,8 @@ TEST(OutlierDetection, MaxOutlierBudgetRespected) {
   d(1, 4) = d(4, 1) = d(1, 4) + 6.0;
   OutlierOptions opts;
   opts.max_outliers = 3;
-  const OutlierResult res = localize_with_outlier_detection(d, Matrix::ones(6, 6),
-                                                            opts, rng);
+  const OutlierResult res =
+      localize_at_both_thread_counts(d, Matrix::ones(6, 6), opts, 5);
   EXPECT_LE(res.dropped_links.size(), 3u);
 }
 

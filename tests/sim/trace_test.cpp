@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
+#include <string>
 
 #include "phy/ofdm_preamble.hpp"
 #include "phy/ranging.hpp"
@@ -64,6 +66,26 @@ TEST(Trace, TruncatedStreamRejected) {
   const std::string full = buf.str();
   std::stringstream cut(full.substr(0, full.size() / 2));
   EXPECT_THROW(read_trace(cut), std::runtime_error);
+
+  // Counts far beyond the bytes present must fail as truncation, not as a
+  // huge allocation: a 12-byte header claiming 2^32 - 1 receptions, and a
+  // 52-byte file whose first sample block claims 2^32 samples.
+  const auto with_count = [&full](std::size_t at, auto count) {
+    std::string bytes = full.substr(0, at);
+    bytes.append(reinterpret_cast<const char*>(&count), sizeof(count));
+    return bytes;
+  };
+  for (const std::string& bytes : {with_count(8, std::uint32_t{0xFFFFFFFFu}),
+                                   with_count(44, std::uint64_t{1} << 32)}) {
+    std::stringstream in(bytes);
+    try {
+      read_trace(in);
+      ADD_FAILURE() << "read_trace accepted " << bytes.size() << " bytes";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("trace: truncated"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Trace, FileRoundTrip) {
