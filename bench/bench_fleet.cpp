@@ -10,10 +10,12 @@
 //   --benchmark_format=json
 //                    emit google-benchmark-style JSON (BENCH_fleet.json in
 //                    CI): one entry with items_per_second = rounds/sec, one
-//                    entry each for the p50/p99/p999 round latency and the
-//                    coast/evict rates, and a second rate entry for the same
-//                    run with telemetry instrumentation on — the pair CI
-//                    compares to pin the instrumentation overhead (< 3%)
+//                    entry each for the p50/p99/p999 round latency, and a
+//                    second rate entry for the same run with telemetry
+//                    instrumentation on — the pair CI compares to pin the
+//                    instrumentation overhead (< 3%). Rates, counts and
+//                    errors (coast/evict/shed rates, control actions, SLO
+//                    entries) are "value" entries with a "unit"
 #include <cstdio>
 #include <map>
 #include <thread>
@@ -72,14 +74,11 @@ OverloadRun run_overload(const std::vector<uwp::sim::GroupScenario>& workload,
   topts.window = 4.0;  // serve stamps seconds; 4 ticks at the default period
   uwp::telemetry::Collector collector(topts);
 
-  uwp::control::ControlConfig cfg;
-  cfg.enabled = true;
-  cfg.window_ticks = 4;
   uwp::control::ShardControls baseline;
   baseline.shaper_rate = so.shaping.rate_rounds_per_s;
   baseline.shaper_burst = so.shaping.burst_rounds;
   baseline.shaper_max_defers = so.shaping.max_defers;
-  uwp::control::ControlEngine engine(cfg, baseline);
+  uwp::control::ControlEngine engine(uwp::control::ControlConfig{}, baseline);
 
   uwp::fleet::Server server(so, workload);
   uwp::fleet::RingBufferTransport transport(256);
@@ -158,10 +157,10 @@ int main(int argc, char** argv) {
     report.add(std::string(name) + "/round_p50", rl.p50_s);
     report.add(std::string(name) + "/round_p99", rl.p99_s);
     report.add(std::string(name) + "/round_p999", rl.p999_s);
-    report.add(std::string(name) + "/coast_rate",
-               static_cast<double>(r.coasts) / rounds);
-    report.add(std::string(name) + "/evict_rate",
-               static_cast<double>(r.sessions.size()) / rounds);
+    report.add_value(std::string(name) + "/coast_rate",
+                     static_cast<double>(r.coasts) / rounds, "coasts/round");
+    report.add_value(std::string(name) + "/evict_rate",
+                     static_cast<double>(r.sessions.size()) / rounds, "evicts/round");
     report.add_with_rate(std::string(name) + "/run_telemetry", rt.wall_seconds,
                          rt.rounds, rlt.rounds_per_sec);
 
@@ -175,8 +174,8 @@ int main(int argc, char** argv) {
     report.add_with_rate(std::string(name) + "/overload_control_off/run",
                          off.res.fleet.wall_seconds, off.res.fleet.rounds,
                          rlo.rounds_per_sec);
-    report.add(std::string(name) + "/overload_control_off/shed_rate",
-               shed_rate(off.res));
+    report.add_value(std::string(name) + "/overload_control_off/shed_rate",
+                     shed_rate(off.res), "ratio");
     report.add(std::string(name) + "/overload_control_off/round_p99", rlo.p99_s);
 
     const OverloadRun on = run_overload(workload, shards, true);
@@ -186,16 +185,18 @@ int main(int argc, char** argv) {
     report.add_with_rate(std::string(name) + "/overload_control_on/run",
                          on.res.fleet.wall_seconds, on.res.fleet.rounds,
                          rlc.rounds_per_sec);
-    report.add(std::string(name) + "/overload_control_on/shed_rate",
-               shed_rate(on.res));
+    report.add_value(std::string(name) + "/overload_control_on/shed_rate",
+                     shed_rate(on.res), "ratio");
     report.add(std::string(name) + "/overload_control_on/round_p99", rlc.p99_s);
-    report.add(std::string(name) + "/overload_control_on/actions",
-               static_cast<double>(on.control_actions));
-    report.add(std::string(name) + "/warm_start_hit_rate", slo.warm_start_hit_rate);
-    report.add(std::string(name) + "/slo_localized_rate", slo.localized_rate);
-    report.add(std::string(name) + "/slo_error_p50", slo.error.p50);
-    report.add(std::string(name) + "/slo_error_p99", slo.error.p99);
-    report.add(std::string(name) + "/slo_error_p999", slo.error.p999);
+    report.add_value(std::string(name) + "/overload_control_on/actions",
+                     static_cast<double>(on.control_actions), "count");
+    report.add_value(std::string(name) + "/warm_start_hit_rate",
+                     slo.warm_start_hit_rate, "ratio");
+    report.add_value(std::string(name) + "/slo_localized_rate", slo.localized_rate,
+                     "ratio");
+    report.add_value(std::string(name) + "/slo_error_p50", slo.error.p50, "m");
+    report.add_value(std::string(name) + "/slo_error_p99", slo.error.p99, "m");
+    report.add_value(std::string(name) + "/slo_error_p999", slo.error.p999, "m");
     report.write();
     return r.localized > 0 && rt.localized == r.localized ? 0 : 1;
   }

@@ -191,15 +191,6 @@ telemetry::TelemetryOptions make_telemetry_options(const ScenarioSpec& spec) {
 control::ControlConfig make_control_config(const ScenarioSpec& spec) {
   validate_or_throw(spec);
   control::ControlConfig cfg;
-  cfg.enabled = spec.control.enabled;
-  cfg.arena = spec.control.arena;
-  cfg.shaper = spec.control.shaper;
-  // The control window IS the telemetry window: the engine folds the
-  // counter plane's own snapshots, so the two cannot be sized apart.
-  cfg.window_ticks = spec.telemetry.window_ticks;
-  cfg.evict_storm = spec.control.evict_storm;
-  cfg.retain_base = spec.control.retain_base;
-  cfg.retain_max = spec.control.retain_max;
   cfg.rate_step = spec.control.rate_step;
   cfg.rate_max_multiplier = spec.control.rate_max_multiplier;
   return cfg;
@@ -208,10 +199,8 @@ control::ControlConfig make_control_config(const ScenarioSpec& spec) {
 control::ShardControls make_control_baseline(const ScenarioSpec& spec) {
   validate_or_throw(spec);
   control::ShardControls base;
-  // Shaper knobs start at the configured shaping section; retention at the
-  // ShardControls default (unbounded). A fleet-mode run never consults the
-  // shaper fields (the ShaperTunerPolicy is inert at rate 0 and the fleet
-  // has no shaper).
+  // The shaper knobs start at the configured shaping section (the tuner is
+  // inert when that section's rate is 0).
   const fleet::ShaperOptions& sh = spec.fleet.server.options.shaping;
   base.shaper_rate = sh.rate_rounds_per_s;
   base.shaper_burst = sh.burst_rounds;

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "config/spec.hpp"
-#include "control/policy.hpp"
+#include "control/engine.hpp"
 #include "des/scenario.hpp"
 #include "fleet/service.hpp"
 #include "sim/deployment.hpp"
@@ -60,15 +60,13 @@ sim::SweepRunner make_sweep(const ScenarioSpec& spec);
 // is scaled by tick_period_s — same windows on the same virtual timeline.
 telemetry::TelemetryOptions make_telemetry_options(const ScenarioSpec& spec);
 
-// Control-plane config from the control section. The fold's window length
-// is telemetry.window_ticks — the engine consumes the counter plane's own
-// windows, so the two sections cannot be sized apart.
+// Shaper-tuner config from the control section. The fold's window length
+// is the collector's (telemetry.window_ticks): the engine consumes the
+// counter plane's own windows, so the two cannot be sized apart.
 control::ControlConfig make_control_config(const ScenarioSpec& spec);
 
-// The knob bundle the control fold starts from: shaper fields seeded from
-// fleet.server.options.shaping, everything else at the ShardControls
-// defaults. Pass the same baseline to the live engine and to
-// Replayer::replay for the record→replay pin to hold.
+// The knob bundle the control fold starts from, seeded from
+// fleet.server.options.shaping.
 control::ShardControls make_control_baseline(const ScenarioSpec& spec);
 
 }  // namespace uwp::config

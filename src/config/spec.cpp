@@ -610,11 +610,6 @@ void telemetry_from_json(const Json& v, const std::string& path, TelemetrySpec& 
 Json control_to_json(const ControlSpec& c, bool hex) {
   Json o = Json::object();
   o.set("enabled", Json::boolean(c.enabled));
-  o.set("arena", Json::boolean(c.arena));
-  o.set("shaper", Json::boolean(c.shaper));
-  o.set("evict_storm", u64_to_json(c.evict_storm));
-  o.set("retain_base", u64_to_json(c.retain_base));
-  o.set("retain_max", u64_to_json(c.retain_max));
   o.set("rate_step", double_to_json(c.rate_step, hex));
   o.set("rate_max_multiplier", double_to_json(c.rate_max_multiplier, hex));
   return o;
@@ -623,11 +618,6 @@ Json control_to_json(const ControlSpec& c, bool hex) {
 void control_from_json(const Json& v, const std::string& path, ControlSpec& c) {
   ObjectReader r(v, path);
   r.read("enabled", c.enabled);
-  r.read("arena", c.arena);
-  r.read("shaper", c.shaper);
-  r.read("evict_storm", c.evict_storm);
-  r.read("retain_base", c.retain_base);
-  r.read("retain_max", c.retain_max);
   r.read("rate_step", c.rate_step);
   r.read("rate_max_multiplier", c.rate_max_multiplier);
   r.finish();
@@ -873,6 +863,8 @@ std::vector<std::string> validate(const ScenarioSpec& spec) {
   if (w.min_group_size < 4) err("fleet.workload.min_group_size", "must be >= 4");
   if (w.max_group_size < w.min_group_size)
     err("fleet.workload.max_group_size", "must be >= min_group_size");
+  if (w.max_group_size > sim::kMaxGroupSize)
+    err("fleet.workload.max_group_size", "must be <= 512");
   if (w.min_rounds < 1) err("fleet.workload.min_rounds", "must be >= 1");
   if (w.max_rounds < w.min_rounds)
     err("fleet.workload.max_rounds", "must be >= min_rounds");
@@ -926,12 +918,11 @@ std::vector<std::string> validate(const ScenarioSpec& spec) {
 
   // control
   const ControlSpec& ctl = spec.control;
+  if (ctl.enabled && spec.mode != RunMode::kServe)
+    err("control.enabled",
+        "requires mode serve (the control plane tunes the ingest shaper)");
   if (ctl.enabled && !spec.telemetry.enabled)
     err("control.enabled", "requires telemetry.enabled (the counter plane drives it)");
-  if (ctl.evict_storm < 1) err("control.evict_storm", "must be >= 1");
-  if (ctl.retain_base < 1) err("control.retain_base", "must be >= 1");
-  if (ctl.retain_max < ctl.retain_base)
-    err("control.retain_max", "must be >= control.retain_base");
   if (!finite(ctl.rate_step) || ctl.rate_step <= 1.0)
     err("control.rate_step", "must be > 1");
   if (!finite(ctl.rate_max_multiplier) || ctl.rate_max_multiplier < 1.0)

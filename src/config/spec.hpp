@@ -163,24 +163,15 @@ struct TelemetrySpec {
   FlightSpec flight{};
 };
 
-// Control section (fleet/serve modes): the self-tuning control plane
+// Control section (serve mode only): the self-tuning control plane
 // (src/control/README.md). When enabled (requires telemetry.enabled), the
-// run folds each closed counter window through the policy chain and applies
-// the resulting knob bundle — arena free-list retention and the shaper's
-// rate/burst/defer budget. The window length is the
-// telemetry window (telemetry.window_ticks); every decision is a pure
-// function of (window index, counter snapshot, this section), so the
-// emitted ControlLog is byte-identical at any shard/worker/thread count.
+// ingest server folds each closed counter window through the shaper tuner
+// and retunes the token bucket's rate/burst/defer budget. The window length
+// is the telemetry window (telemetry.window_ticks); every decision is a
+// pure function of (window index, counter snapshot, this section), so the
+// emitted ControlLog is byte-identical at any worker/thread count.
 struct ControlSpec {
   bool enabled = false;
-  // Per-policy gates (all pure subsets of the same fold).
-  bool arena = true;
-  bool shaper = true;
-  // Arena tuner: evictions per window that count as a storm, and the
-  // retention band (free-list entries kept per group size).
-  std::uint64_t evict_storm = 8;
-  std::size_t retain_base = 4;
-  std::size_t retain_max = 64;
   // Shaper tuner: multiplicative rate step per pressured window and the cap
   // (baseline rate x multiplier).
   double rate_step = 1.25;

@@ -19,8 +19,6 @@ bool dbits_equal(double a, double b) {
 
 const char* to_string(ActionKind k) {
   switch (k) {
-    case ActionKind::kArenaRetain:
-      return "arena_retain";
     case ActionKind::kShaperRate:
       return "shaper_rate";
     case ActionKind::kShaperBurst:
@@ -38,8 +36,7 @@ bool bit_equal(const ControlAction& a, const ControlAction& b) {
 }
 
 bool bit_equal(const ShardControls& a, const ShardControls& b) {
-  return a.arena_retain == b.arena_retain &&
-         dbits_equal(a.shaper_rate, b.shaper_rate) &&
+  return dbits_equal(a.shaper_rate, b.shaper_rate) &&
          dbits_equal(a.shaper_burst, b.shaper_burst) &&
          a.shaper_max_defers == b.shaper_max_defers;
 }

@@ -1,12 +1,11 @@
 // ControlLog: the flat, replayable record of every control decision.
 //
 // The log is the control plane's determinism artifact, playing the role the
-// fleet trace plays for session rounds: a run's log must be byte-identical
-// at any shard/worker/thread count, and re-executing the policies over the
-// replayed counter plane must reproduce it exactly (see
-// ControlEngine::reexecute). The binary codec is versioned and
-// little-endian; `control_log_digest` gives a cheap fingerprint for CI
-// diffs and the uwp_run metrics JSON.
+// fleet trace plays for session rounds: a serve run's log must be
+// byte-identical at any worker/thread count, and verify_ingest_schedule
+// re-derives the shaper's decisions with its retunes folded in. The binary
+// codec is versioned and little-endian; `control_log_digest` gives a cheap
+// fingerprint for CI diffs and the uwp_run metrics JSON.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +17,8 @@
 namespace uwp::control {
 
 inline constexpr std::uint32_t kControlLogMagic = 0x4C435755u;  // "UWCL"
-inline constexpr std::uint16_t kControlLogVersion = 2;
+// v3: the action kinds were renumbered when the arena knob was removed.
+inline constexpr std::uint16_t kControlLogVersion = 3;
 
 struct ControlLog {
   std::vector<ControlAction> actions;

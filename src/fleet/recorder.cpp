@@ -1,11 +1,9 @@
 #include "fleet/recorder.hpp"
 
-#include <algorithm>
 #include <fstream>
 #include <iterator>
 #include <stdexcept>
 
-#include "control/engine.hpp"
 #include "telemetry/collector.hpp"
 
 namespace uwp::fleet {
@@ -113,6 +111,19 @@ void SessionRecorder::save(const std::string& path) const {
   write(out);
 }
 
+namespace {
+
+// The Replayer regenerates the workload from the header's parameters before
+// it can check the digest, and group sizes become n x n matrices there: a
+// tampered range must fail as WireError before it sizes anything.
+const sim::WorkloadParams& checked_params(const sim::WorkloadParams& p) {
+  if (const char* why = sim::workload_params_error(p))
+    throw WireError(std::string("fleet trace: ") + why);
+  return p;
+}
+
+}  // namespace
+
 FleetTrace read_fleet_trace(std::istream& in) {
   // One copy only: traces from a large fleet run are tens of MB.
   std::vector<std::uint8_t> buf{std::istreambuf_iterator<char>(in),
@@ -136,10 +147,8 @@ FleetTrace read_fleet_trace(std::istream& in) {
   p.admit_spread_ticks = static_cast<std::size_t>(r.u64());
   p.include_des = r.u8() != 0;
   const std::uint8_t force_kind = r.u8();
-  if (force_kind != 0xFF &&
-      force_kind > static_cast<std::uint8_t>(sim::GroupScenarioKind::kPacketDes))
-    throw WireError("fleet trace: force_kind out of range");
   p.force_kind = force_kind == 0xFF ? -1 : static_cast<int>(force_kind);
+  checked_params(p);
 
   const std::uint64_t count = r.u64();
   if (count != p.sessions) throw WireError("fleet trace: session count mismatch");
@@ -202,10 +211,10 @@ FleetTrace load_fleet_trace(const std::string& path) {
 
 // --- Replayer ---------------------------------------------------------------
 
-Replayer::Replayer(FleetTrace trace)
-    : trace_(std::move(trace)), workload_(sim::make_workload(trace_.workload)) {
-  if (trace_.sessions.size() != workload_.size())
-    throw WireError("fleet trace: session count != regenerated workload");
+Replayer::Replayer(FleetTrace trace) : trace_(std::move(trace)) {
+  if (trace_.sessions.size() != trace_.workload.sessions)
+    throw WireError("fleet trace: session count != workload sessions");
+  workload_ = sim::make_workload(checked_params(trace_.workload));
   if (workload_digest(workload_) != trace_.workload_digest)
     throw WireError(
         "fleet trace: workload digest mismatch — the trace was recorded "
@@ -216,17 +225,12 @@ Replayer::Replayer(FleetTrace trace)
       throw WireError("fleet trace: sessions out of order");
 }
 
-Replayer::ReplayResult Replayer::replay(telemetry::Collector* telemetry,
-                                        const control::ControlConfig* control,
-                                        const control::ShardControls* baseline) const {
+Replayer::ReplayResult Replayer::replay(telemetry::Collector* telemetry) const {
   ReplayResult out;
   std::vector<SessionMetrics> metrics(trace_.sessions.size());
 
   telemetry::Collector* const col =
       telemetry != nullptr && telemetry->enabled() ? telemetry : nullptr;
-  if (control != nullptr && col == nullptr)
-    throw std::invalid_argument(
-        "Replayer: control re-execution requires enabled telemetry");
   if (col != nullptr) col->open(1);
   telemetry::ShardStream* const tel = col != nullptr ? &col->stream(0) : nullptr;
 
@@ -267,26 +271,6 @@ Replayer::ReplayResult Replayer::replay(telemetry::Collector* telemetry,
     }
     session.evict();
     metrics[id] = session.take_metrics();
-  }
-
-  if (control != nullptr) {
-    // Re-execute the control fold offline over the rebuilt counter plane.
-    // The window count is the live fleet's: ceil(total_ticks / window_ticks)
-    // with total_ticks from the regenerated workload — the same pure
-    // function of the workload the live run used. The collector must carry
-    // the live run's window length for the pages to line up.
-    const std::size_t window_ticks = std::max<std::size_t>(1, control->window_ticks);
-    std::size_t total_ticks = 0;
-    for (const sim::GroupScenario& sc : workload_)
-      total_ticks = std::max(total_ticks, sc.admit_tick + sc.lifetime_rounds);
-    const std::uint64_t n_windows =
-        total_ticks == 0 ? 0 : (total_ticks + window_ticks - 1) / window_ticks;
-    std::vector<telemetry::Snapshot> snaps;
-    snaps.reserve(static_cast<std::size_t>(n_windows));
-    for (std::uint64_t w = 0; w < n_windows; ++w)
-      snaps.push_back(col->window_snapshot(w));
-    out.control_log = control::ControlEngine::reexecute(
-        *control, baseline != nullptr ? *baseline : control::ShardControls{}, snaps);
   }
 
   out.fleet = finalize_fleet_result(std::move(metrics));

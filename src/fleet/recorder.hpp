@@ -34,8 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "control/log.hpp"
-#include "control/policy.hpp"
 #include "fleet/session.hpp"
 #include "sim/fleet_workload.hpp"
 
@@ -132,22 +130,13 @@ class Replayer {
     // Rounds whose recomputed result record differed bit-for-bit from the
     // recorded one; always 0 unless the trace or the code base changed.
     std::size_t result_mismatches = 0;
-    // The re-derived control log (empty unless replay() got a config).
-    control::ControlLog control_log;
   };
-  // Plain replay. `telemetry`, when given and enabled, is opened with one
-  // stream that the arena and the consumers count into, as a live
-  // tick-scheduled fleet run's shards do — each event stamped at virtual
-  // time admit_tick + event index, so with the live run's window length the
-  // rebuilt counter plane matches the live one page for page. `control`
-  // (requires telemetry) then re-executes the control fold offline over
-  // that rebuilt plane: the result's control_log must equal the live run's
-  // — the record→replay pin for the control plane. `baseline` (optional)
-  // seeds the fold's knob bundle; defaults to ShardControls{}, matching a
-  // fleet-mode live run.
-  ReplayResult replay(telemetry::Collector* telemetry = nullptr,
-                      const control::ControlConfig* control = nullptr,
-                      const control::ShardControls* baseline = nullptr) const;
+  // `telemetry`, when given and enabled, is opened with one stream that the
+  // arena and the consumers count into, as a live tick-scheduled fleet
+  // run's shards do — each event stamped at virtual time admit_tick + event
+  // index, so with the live run's window length the rebuilt counter plane
+  // matches the live one page for page.
+  ReplayResult replay(telemetry::Collector* telemetry = nullptr) const;
 
  private:
   FleetTrace trace_;

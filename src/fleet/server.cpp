@@ -19,15 +19,12 @@ namespace uwp::fleet {
 
 namespace {
 
-// One admitted-or-shed frame on its way to a worker — or, when `control` is
-// set, a knob-bundle broadcast from the ingest loop's control boundary (the
-// frame fields are unused then).
+// One admitted-or-shed frame on its way to a worker.
 struct WorkItem {
   IngestFrame frame;
   bool shed = false;
   double enq_ts = 0.0;   // trace clock at enqueue (0 when not tracing)
   double decide_s = 0.0;  // virtual time of the shaper's final verdict
-  std::shared_ptr<const control::ShardControls> control;
 };
 
 }  // namespace
@@ -87,12 +84,6 @@ ServerResult Server::serve(Transport& transport, SessionRecorder* recorder,
     std::vector<double>* lat = opts_.measure_latency ? &latencies[w] : nullptr;
 
     const auto process = [&](WorkItem& item) {
-      if (item.control != nullptr) {
-        // Knob broadcast from a control boundary: retune the arena's
-        // retention (result-neutral).
-        arena.set_retain(item.control->arena_retain);
-        return;
-      }
       const std::uint64_t id = item.frame.session_id;
       SessionConsumer& s = mine[static_cast<std::size_t>(id) / workers];
       // kBye ends a session in every state; a later frame would re-lease a
@@ -175,12 +166,12 @@ ServerResult Server::serve(Transport& transport, SessionRecorder* recorder,
 
   // The serve-side control loop. Before feeding an arrival at or past a
   // window boundary: resolve every retry due by the boundary (so the
-  // closing window's verdicts are final), quiesce the workers, fold the
-  // window into the engine, retune the shaper in place, and broadcast the
-  // new knob bundle to every worker queue. Every step keys off the frames'
-  // virtual clock, so the ControlLog is a pure function of the ingest
-  // schedule — byte-identical at any worker count. The boundary times are
-  // computed as (window + 1) * window_s (multiplied, never accumulated) so
+  // closing window's verdicts are final), quiesce the workers (the shaper
+  // tuner reads their kRounds), fold the window into the engine, and retune
+  // the shaper in place. Every step keys off the frames' virtual clock, so
+  // the ControlLog is a pure function of the ingest schedule — byte-identical
+  // at any worker count. The boundary times are computed as
+  // (window + 1) * window_s (multiplied, never accumulated) so
   // verify_ingest_schedule's re-run hits bit-identical boundaries.
   std::uint64_t closing = 0;  // window index the next boundary closes
   double next_boundary = window_s;
@@ -194,13 +185,6 @@ ServerResult Server::serve(Transport& transport, SessionRecorder* recorder,
       engine->observe_window(w_closed, col->window_snapshot(w_closed));
       const control::ShardControls& c = engine->controls();
       scheduler.retune(c.shaper_rate, c.shaper_burst, c.shaper_max_defers);
-      auto bundle = std::make_shared<const control::ShardControls>(c);
-      for (std::size_t w = 0; w < workers; ++w) {
-        WorkItem item;
-        item.control = bundle;
-        queues[w]->push(std::move(item));
-        ++dispatched[w];
-      }
       next_boundary = static_cast<double>(closing + 1) * window_s;
     }
   };

@@ -157,10 +157,10 @@ class Server {
   // control loop: at every telemetry-window boundary of the virtual clock
   // the ingest loop flushes due retries, quiesces the workers (a
   // dispatched-vs-processed barrier — the happens-before edge for the
-  // closed window's counter pages), folds the window into the engine,
-  // retunes the shaper in place, and broadcasts the knob bundle to every
-  // worker queue. Decisions depend only on the virtual clock, so the
-  // ControlLog is worker-count invariant. Throws WireError (the transport
+  // closed window's counter pages, whose kRounds the shaper tuner reads),
+  // folds the window into the engine, and retunes the shaper in place.
+  // Decisions depend only on the virtual clock, so the ControlLog is
+  // worker-count invariant. Throws WireError (the transport
   // is closed first so producers unblock) on
   //   * a malformed frame or measurement payload,
   //   * an unknown session id,

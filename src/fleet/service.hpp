@@ -21,10 +21,6 @@ class Collector;
 struct TelemetryReport;
 }
 
-namespace uwp::control {
-class ControlEngine;
-}
-
 namespace uwp::fleet {
 
 class SessionRecorder;  // recorder.hpp
@@ -52,22 +48,15 @@ class FleetService {
   // admit_tick + lifetime_rounds.
   std::size_t ticks() const;
 
-  // Run every session to eviction. `recorder`, when given, captures the
-  // whole run as a replayable trace (it must have been constructed for this
-  // service's workload). `telemetry`, when given and enabled, is opened
-  // with one stream per shard; counter events carry the tick as virtual
-  // time, so the collector's counters section is bit-identical at any shard
-  // count. `engine`, when given (requires enabled telemetry — throws
-  // std::invalid_argument otherwise), turns the run into window-length
-  // chunks: at each window boundary every shard quiesces, the engine folds
-  // the closed window's merged counter snapshot, and the resulting arena
-  // retention is applied to every shard before the next chunk. Retention is
-  // result-neutral, so FleetResult stays bit-identical to the
-  // uncontrolled run and across shard counts; the ControlLog is likewise
-  // shard-count invariant. Thread-safe internally; call from one thread.
+  // Run every session to eviction in one pass: each shard runs its slice of
+  // the whole timeline on its own pool thread. `recorder`, when given,
+  // captures the run as a replayable trace (it must have been constructed
+  // for this service's workload). `telemetry`, when given and enabled, is
+  // opened with one stream per shard; counter events carry the tick as
+  // virtual time, so the collector's counters section is bit-identical at
+  // any shard count. Thread-safe internally; call from one thread.
   FleetResult run(SessionRecorder* recorder = nullptr,
-                  telemetry::Collector* telemetry = nullptr,
-                  control::ControlEngine* engine = nullptr) const;
+                  telemetry::Collector* telemetry = nullptr) const;
 
   // Arena accounting of the last run (summed over shards): how many session
   // admissions there were, and how many were served by rebinding an evicted

@@ -112,17 +112,6 @@ void ShardArena::release(std::unique_ptr<SessionRuntime> rt) {
   const std::size_t n = rt->pipe.options().protocol.num_devices;
   if (n >= free_by_size_.size()) free_by_size_.resize(n + 1);
   free_by_size_[n].push_back(std::move(rt));
-  trim(free_by_size_[n]);
-}
-
-void ShardArena::set_retain(std::size_t per_size) {
-  retain_ = per_size;
-  for (std::vector<std::unique_ptr<SessionRuntime>>& list : free_by_size_) trim(list);
-}
-
-void ShardArena::trim(std::vector<std::unique_ptr<SessionRuntime>>& list) const {
-  if (retain_ > 0 && list.size() > retain_)
-    list.erase(list.begin(), list.end() - static_cast<std::ptrdiff_t>(retain_));
 }
 
 void check_workload(const std::vector<sim::GroupScenario>& workload, const char* owner) {

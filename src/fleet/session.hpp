@@ -112,14 +112,12 @@ struct SessionRuntime {
 // Per-shard free list of SessionRuntimes keyed by group size: an evicted
 // session's pipeline is rebound to the next admitted group of the same size
 // instead of reallocated, so steady-state churn performs near-zero heap
-// allocation inside the solver stack. A lease takes the most recently
-// released runtime of the requested size. Single-threaded by construction
-// (one arena per shard, shards never share sessions).
-//
-// Per-size retention is the control plane's one arena knob
-// (set_retain). It is result-neutral — a leased pipeline is rebound to the
-// requested options either way, so FleetResult cannot tell retention
-// settings apart; only reuse rates, memory, and wall-clock change.
+// allocation inside the solver stack. The arena keeps every released
+// runtime, and a lease takes the most recently released one of the
+// requested size (LIFO). Reuse is result-neutral — a leased pipeline is
+// rebound to the requested options — so FleetResult cannot tell a reused
+// runtime from a fresh one. Single-threaded by construction (one arena per
+// shard, shards never share sessions).
 class ShardArena {
  public:
   std::unique_ptr<SessionRuntime> lease(const pipeline::PipelineOptions& opts);
@@ -127,10 +125,6 @@ class ShardArena {
 
   std::size_t leases() const { return leases_; }
   std::size_t reuses() const { return reuses_; }
-
-  // Cap the free entries kept per group size (0 = keep all), trimming
-  // oversized free lists immediately, oldest first.
-  void set_retain(std::size_t per_size);
 
   // Attach the owning shard's telemetry stream (nullptr = off). lease()
   // then counts every lease (deterministic: leases == admissions) and
@@ -140,12 +134,9 @@ class ShardArena {
   void set_telemetry(telemetry::ShardStream* stream) { telemetry_ = stream; }
 
  private:
-  void trim(std::vector<std::unique_ptr<SessionRuntime>>& list) const;
-
   // Group sizes are tiny integers; a flat per-size free list beats a map.
   // Each list is in release order, oldest first.
   std::vector<std::vector<std::unique_ptr<SessionRuntime>>> free_by_size_;
-  std::size_t retain_ = 0;
   std::size_t leases_ = 0;
   std::size_t reuses_ = 0;
   telemetry::ShardStream* telemetry_ = nullptr;

@@ -37,7 +37,7 @@ inline constexpr std::uint16_t kWireVersion = 1;
 // Sanity cap on the decoded device count: a fleet group is tens of devices;
 // anything larger is a corrupt or hostile length field, rejected before any
 // allocation is sized from it.
-inline constexpr std::size_t kMaxWireDevices = 512;
+inline constexpr std::size_t kMaxWireDevices = sim::kMaxGroupSize;
 
 enum class RecordKind : std::uint8_t {
   kMeasurement = 1,  // a full pipeline::RoundMeasurement

@@ -1,7 +1,9 @@
 #include "sim/fleet_workload.hpp"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "proto/slot_schedule.hpp"
 #include "sim/deployment.hpp"
@@ -67,13 +69,24 @@ void add_waypoint_motion(GroupScenario& sc, uwp::Rng& rng) {
 
 }  // namespace
 
-GroupScenario make_group_scenario(const WorkloadParams& params, std::uint64_t session_id) {
-  if (params.min_group_size < 4 || params.max_group_size < params.min_group_size)
-    throw std::invalid_argument("fleet workload: bad group size range");
-  if (params.min_rounds < 1 || params.max_rounds < params.min_rounds)
-    throw std::invalid_argument("fleet workload: bad rounds range");
+const char* workload_params_error(const WorkloadParams& params) {
+  constexpr auto kMaxDraw =
+      static_cast<std::size_t>(std::numeric_limits<std::int64_t>::max());
+  if (params.min_group_size < 4 || params.max_group_size < params.min_group_size ||
+      params.max_group_size > kMaxGroupSize)
+    return "bad group size range";
+  if (params.min_rounds < 1 || params.max_rounds < params.min_rounds ||
+      params.max_rounds > kMaxDraw)
+    return "bad rounds range";
+  if (params.admit_spread_ticks > kMaxDraw) return "admission spread out of range";
   if (params.force_kind > static_cast<int>(GroupScenarioKind::kPacketDes))
-    throw std::invalid_argument("fleet workload: force_kind out of range");
+    return "force_kind out of range";
+  return nullptr;
+}
+
+GroupScenario make_group_scenario(const WorkloadParams& params, std::uint64_t session_id) {
+  if (const char* why = workload_params_error(params))
+    throw std::invalid_argument(std::string("fleet workload: ") + why);
 
   // Same per-session stream discipline as SweepRunner trials: the scenario
   // depends only on (seed, session_id), never on generation order.

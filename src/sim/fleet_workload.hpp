@@ -81,7 +81,17 @@ struct WorkloadParams {
   int force_kind = -1;
 };
 
-// The scenario for one session id; pure in (params, session_id).
+// Largest group the generator builds: the fleet wire codec's device cap.
+inline constexpr std::size_t kMaxGroupSize = 512;
+
+// Why `params` cannot be generated, or nullptr when they can. Rejects group
+// sizes outside [4, kMaxGroupSize], empty round ranges, round bounds or an
+// admission spread above INT64_MAX (the generator's integer draws are
+// signed), and a force_kind past the last GroupScenarioKind.
+const char* workload_params_error(const WorkloadParams& params);
+
+// The scenario for one session id; pure in (params, session_id). Throws
+// std::invalid_argument when workload_params_error(params) is set.
 GroupScenario make_group_scenario(const WorkloadParams& params, std::uint64_t session_id);
 
 // All sessions of the workload, indexed by session id.

@@ -58,12 +58,17 @@ bool BenchJsonReporter::requested(int argc, char** argv) {
 
 void BenchJsonReporter::add(const std::string& name, double real_seconds,
                             std::size_t iterations) {
-  entries_.push_back({name, real_seconds, iterations, 0.0});
+  entries_.push_back({name, real_seconds, iterations, 0.0, 0.0, {}});
 }
 
 void BenchJsonReporter::add_with_rate(const std::string& name, double real_seconds,
                                       std::size_t iterations, double items_per_second) {
-  entries_.push_back({name, real_seconds, iterations, items_per_second});
+  entries_.push_back({name, real_seconds, iterations, items_per_second, 0.0, {}});
+}
+
+void BenchJsonReporter::add_value(const std::string& name, double value,
+                                  const std::string& unit) {
+  entries_.push_back({name, 0.0, 1, 0.0, value, unit});
 }
 
 void BenchJsonReporter::write() const {
@@ -80,16 +85,21 @@ void BenchJsonReporter::write() const {
   std::printf("  },\n  \"benchmarks\": [\n");
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     const Entry& e = entries_[i];
-    const double per_iter_s = e.seconds / static_cast<double>(e.iterations);
     std::printf("    {\n");
     std::printf("      \"name\": \"%s\",\n", e.name.c_str());
     std::printf("      \"run_type\": \"iteration\",\n");
     std::printf("      \"iterations\": %zu,\n", e.iterations);
-    std::printf("      \"real_time\": %.6e,\n", per_iter_s * 1e3);
-    std::printf("      \"cpu_time\": %.6e,\n", per_iter_s * 1e3);
-    if (e.items_per_second > 0.0)
-      std::printf("      \"items_per_second\": %.6e,\n", e.items_per_second);
-    std::printf("      \"time_unit\": \"ms\"\n");
+    if (!e.unit.empty()) {
+      std::printf("      \"value\": %.6e,\n", e.value);
+      std::printf("      \"unit\": \"%s\"\n", e.unit.c_str());
+    } else {
+      const double per_iter_ms = e.seconds / static_cast<double>(e.iterations) * 1e3;
+      std::printf("      \"real_time\": %.6e,\n", per_iter_ms);
+      std::printf("      \"cpu_time\": %.6e,\n", per_iter_ms);
+      if (e.items_per_second > 0.0)
+        std::printf("      \"items_per_second\": %.6e,\n", e.items_per_second);
+      std::printf("      \"time_unit\": \"ms\"\n");
+    }
     std::printf("    }%s\n", i + 1 < entries_.size() ? "," : "");
   }
   std::printf("  ]\n}\n");

@@ -35,7 +35,9 @@ double cep(std::span<const double> radial_errors, double fraction = 0.5);
 // a bench collects named wall-clock timings and emits
 //   {"context": {...}, "benchmarks": [{"name", "real_time", ...}]}
 // to stdout, so CI can harvest perf numbers (BENCH_pipeline.json) with the
-// same tooling it would use for google-benchmark binaries.
+// same tooling it would use for google-benchmark binaries. Quantities that
+// are not timings (rates, counts, errors) are entries with a "value" and a
+// "unit" instead of a "real_time".
 class BenchJsonReporter {
  public:
   // True when --benchmark_format=json was passed.
@@ -46,6 +48,8 @@ class BenchJsonReporter {
   // how bench_fleet reports aggregate rounds/sec next to latency entries.
   void add_with_rate(const std::string& name, double real_seconds,
                      std::size_t iterations, double items_per_second);
+  // A non-timing quantity, e.g. add_value("shed_rate", 0.38, "ratio").
+  void add_value(const std::string& name, double value, const std::string& unit);
   // Emit the JSON document to stdout.
   void write() const;
 
@@ -55,6 +59,8 @@ class BenchJsonReporter {
     double seconds = 0.0;
     std::size_t iterations = 1;
     double items_per_second = 0.0;  // emitted when > 0
+    double value = 0.0;             // add_value entries only
+    std::string unit;               // non-empty marks an add_value entry
   };
   std::vector<Entry> entries_;
 };

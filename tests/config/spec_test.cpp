@@ -221,10 +221,12 @@ TEST(SpecParse, UnknownAndMistypedFieldsFailWithPaths) {
                      "telemetry.flight.capacity");
 }
 
-// Control keys of the retired solver tuner must fail loudly, not be ignored.
+// Control keys of the retired solver and arena tuners (and their policy
+// gates) must fail loudly, not be ignored.
 TEST(SpecParse, RemovedControlKeysAreUnknownFields) {
   for (const char* key :
-       {"solver", "solver_iters_high", "solver_iters_low", "max_search_threads"}) {
+       {"solver", "solver_iters_high", "solver_iters_low", "max_search_threads",
+        "arena", "shaper", "evict_storm", "retain_base", "retain_max"}) {
     const std::string json = std::string(R"({"control": {")") + key + R"(": 1}})";
     try {
       parse_spec(json);
@@ -412,6 +414,13 @@ TEST(SpecValidate, EachRejectedFieldReportsItsPath) {
     s.fleet.workload.max_group_size = 3;  // < min (4)
     expect_invalid(s, "fleet.workload.max_group_size");
   }
+  for (const std::size_t devices : {std::size_t{513}, std::size_t{1} << 20}) {
+    // Above the wire codec's device cap: the generator would size n x n
+    // matrices from it.
+    ScenarioSpec s;
+    s.fleet.workload.max_group_size = devices;
+    expect_invalid(s, "fleet.workload.max_group_size");
+  }
   {
     ScenarioSpec s;
     s.fleet.workload.max_rounds = 0;
@@ -454,6 +463,18 @@ TEST(SpecValidate, TelemetryFieldsReportTheirPaths) {
     ScenarioSpec s;
     s.telemetry.flight.shed_burst = 0;
     expect_invalid(s, "telemetry.flight.shed_burst");
+  }
+}
+
+TEST(SpecValidate, ControlIsServeOnly) {
+  ScenarioSpec s;
+  s.mode = RunMode::kServe;
+  s.telemetry.enabled = true;
+  s.control.enabled = true;
+  EXPECT_TRUE(validate(s).empty());
+  for (const RunMode mode : {RunMode::kFleet, RunMode::kRound}) {
+    s.mode = mode;
+    expect_invalid(s, "control.enabled");
   }
 }
 

@@ -1,8 +1,6 @@
 // The control plane's contract (src/control/README.md): every decision is a
-// pure function of (window index, counter snapshot, config); the ControlLog
-// is byte-identical at any shard/worker count; every fleet-side knob is
-// result-neutral; and a recorded run's log re-derives exactly from the
-// counter plane a Replayer rebuilds.
+// pure function of (window index, counter snapshot, config), and a served
+// run's ControlLog is byte-identical at any worker count.
 #include "control/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -16,10 +14,7 @@
 #include <vector>
 
 #include "control/log.hpp"
-#include "control/policies.hpp"
-#include "fleet/recorder.hpp"
 #include "fleet/server.hpp"
-#include "fleet/service.hpp"
 #include "sim/fleet_workload.hpp"
 #include "telemetry/collector.hpp"
 
@@ -42,7 +37,6 @@ telemetry::Snapshot snap_with(
 TEST(ControlLog, CodecRoundTripsBitExactly) {
   ControlLog log;
   log.windows_observed = 7;
-  log.actions.push_back({2, ActionKind::kArenaRetain, 16.0});
   log.actions.push_back({3, ActionKind::kShaperRate, 6.25});
   log.actions.push_back({3, ActionKind::kShaperBurst, 10.0});
   log.actions.push_back({5, ActionKind::kShaperMaxDefers, 4.0});
@@ -59,7 +53,7 @@ TEST(ControlLog, CodecRoundTripsBitExactly) {
 TEST(ControlLog, ReaderRejectsCorruption) {
   ControlLog log;
   log.windows_observed = 1;
-  log.actions.push_back({0, ActionKind::kArenaRetain, 8.0});
+  log.actions.push_back({0, ActionKind::kShaperBurst, 8.0});
   std::stringstream ss;
   write_control_log(ss, log);
   std::string bytes = ss.str();
@@ -88,34 +82,24 @@ TEST(ControlLog, ReaderRejectsCorruption) {
     std::stringstream in(bad);
     EXPECT_THROW(read_control_log(in), std::runtime_error);
   }
-  {
-    // A version-1 log (pre-renumbering action kinds) is refused.
+  for (const char version : {1, 2}) {
+    // Logs from before either action-kind renumbering are refused.
     std::string old = bytes;
-    old[4] = 1;
+    old[4] = version;
     old[5] = 0;
     std::stringstream in(old);
+    EXPECT_THROW(read_control_log(in), std::runtime_error) << "version " << int(version);
+  }
+  {
+    // An action kind past the last one is refused.
+    std::string bad = bytes;
+    bad[bytes.size() - 9] = static_cast<char>(kActionKindCount);
+    std::stringstream in(bad);
     EXPECT_THROW(read_control_log(in), std::runtime_error);
   }
 }
 
-// --- policy folds -----------------------------------------------------------
-
-TEST(Policies, ArenaTunerStormsAndDecays) {
-  ControlConfig cfg;
-  ArenaTunerPolicy tuner(cfg);
-  ShardControls c;
-
-  // Storm: retention jumps to the base, then doubles, capped at retain_max.
-  tuner.observe(0, snap_with(0, {{Counter::kEvicts, cfg.evict_storm}}), c);
-  EXPECT_EQ(c.arena_retain, 2 * cfg.retain_base);
-  for (int i = 0; i < 10; ++i)
-    tuner.observe(1 + i, snap_with(1 + i, {{Counter::kEvicts, cfg.evict_storm}}), c);
-  EXPECT_EQ(c.arena_retain, cfg.retain_max);
-
-  // Idle windows decay retention back toward the base, never below it.
-  for (int i = 0; i < 10; ++i) tuner.observe(20 + i, snap_with(20 + i, {}), c);
-  EXPECT_EQ(c.arena_retain, cfg.retain_base);
-}
+// --- shaper tuner -----------------------------------------------------------
 
 TEST(Policies, ShaperTunerOpensUnderShedPressureAndRelaxes) {
   ControlConfig cfg;
@@ -127,8 +111,7 @@ TEST(Policies, ShaperTunerOpensUnderShedPressureAndRelaxes) {
   ShardControls c = base;
 
   // Sheds while workers kept up: the bucket is the bottleneck.
-  tuner.observe(0,
-                snap_with(0, {{Counter::kIngestShed, 5},
+  tuner.observe(snap_with(0, {{Counter::kIngestShed, 5},
                               {Counter::kIngestAdmitted, 10},
                               {Counter::kRounds, 10}}),
                 c);
@@ -137,7 +120,7 @@ TEST(Policies, ShaperTunerOpensUnderShedPressureAndRelaxes) {
   EXPECT_EQ(c.shaper_max_defers, 10u);
 
   // Quiet windows step back to (never past) the baseline.
-  for (int i = 0; i < 16; ++i) tuner.observe(1 + i, snap_with(1 + i, {}), c);
+  for (int i = 0; i < 16; ++i) tuner.observe(snap_with(1 + i, {}), c);
   EXPECT_DOUBLE_EQ(c.shaper_rate, base.shaper_rate);
   EXPECT_DOUBLE_EQ(c.shaper_burst, base.shaper_burst);
   EXPECT_EQ(c.shaper_max_defers, base.shaper_max_defers);
@@ -146,28 +129,34 @@ TEST(Policies, ShaperTunerOpensUnderShedPressureAndRelaxes) {
   ShardControls off;
   ShaperTunerPolicy inert(cfg, off);
   ShardControls c2 = off;
-  inert.observe(0, snap_with(0, {{Counter::kIngestShed, 100}}), c2);
+  inert.observe(snap_with(0, {{Counter::kIngestShed, 100}}), c2);
   EXPECT_TRUE(bit_equal(c2, off));
 }
 
 // --- engine -----------------------------------------------------------------
 
+// The fold over a snapshot sequence, the way the ingest server drives it.
+ControlLog fold(const ShardControls& base,
+                const std::vector<telemetry::Snapshot>& snaps) {
+  ControlEngine engine(ControlConfig{}, base);
+  for (const telemetry::Snapshot& snap : snaps) engine.observe_window(snap.window, snap);
+  return engine.log();
+}
+
 TEST(ControlEngine, FoldIsPureAndMasksItsOwnCounters) {
-  ControlConfig cfg;
-  cfg.enabled = true;
-  const ShardControls base;
+  ShardControls base;
+  base.shaper_rate = 4.0;
 
   std::vector<telemetry::Snapshot> snaps;
-  snaps.push_back(snap_with(0, {{Counter::kEvicts, 8}, {Counter::kAdmits, 8},
-                                {Counter::kAdmitDevices, 40},
-                                {Counter::kEvictDevices, 39}}));
+  snaps.push_back(snap_with(0, {{Counter::kIngestShed, 3},
+                                {Counter::kIngestAdmitted, 6},
+                                {Counter::kRounds, 6}}));
   snaps.push_back(snap_with(1, {{Counter::kRounds, 4},
                                 {Counter::kSolverIterations, 4000}}));
   snaps.push_back(snap_with(2, {}));
 
-  const ControlLog a = ControlEngine::reexecute(cfg, base, snaps);
-  const ControlLog b = ControlEngine::reexecute(cfg, base, snaps);
-  EXPECT_TRUE(bit_equal(a, b));
+  const ControlLog a = fold(base, snaps);
+  EXPECT_TRUE(bit_equal(a, fold(base, snaps)));
   EXPECT_EQ(a.windows_observed, 3u);
   EXPECT_FALSE(a.actions.empty());
 
@@ -178,10 +167,10 @@ TEST(ControlEngine, FoldIsPureAndMasksItsOwnCounters) {
     s.counts[static_cast<std::size_t>(Counter::kControlWindows)] = 999;
     s.counts[static_cast<std::size_t>(Counter::kControlActions)] = 999;
   }
-  EXPECT_TRUE(bit_equal(a, ControlEngine::reexecute(cfg, base, spiked)));
+  EXPECT_TRUE(bit_equal(a, fold(base, spiked)));
 }
 
-// --- fleet integration ------------------------------------------------------
+// --- serve integration ------------------------------------------------------
 
 sim::WorkloadParams churn_params(std::size_t sessions) {
   sim::WorkloadParams p;
@@ -196,7 +185,7 @@ sim::WorkloadParams churn_params(std::size_t sessions) {
   return p;
 }
 
-telemetry::TelemetryOptions fleet_tel_options(double window) {
+telemetry::TelemetryOptions tel_options(double window) {
   telemetry::TelemetryOptions t;
   t.enabled = true;
   t.timing = false;
@@ -210,79 +199,6 @@ void expect_fleet_bits(const fleet::FleetResult& a, const fleet::FleetResult& b)
   for (std::size_t i = 0; i < a.sessions.size(); ++i)
     EXPECT_TRUE(a.sessions[i].bit_equal(b.sessions[i])) << "session " << i;
 }
-
-TEST(ControlFleet, ResultNeutralAndShardCountInvariant) {
-  ControlConfig cfg;
-  cfg.enabled = true;
-  cfg.window_ticks = 4;
-  const ShardControls base;
-  const std::vector<sim::GroupScenario> workload =
-      sim::make_workload(churn_params(24));
-
-  fleet::FleetOptions opts;
-  opts.shards = 1;
-  const fleet::FleetService serial(opts, workload);
-  const fleet::FleetResult plain = serial.run();
-
-  telemetry::Collector col1(fleet_tel_options(4.0));
-  ControlEngine e1(cfg, base);
-  const fleet::FleetResult controlled1 = serial.run(nullptr, &col1, &e1);
-
-  opts.shards = 4;
-  const fleet::FleetService sharded(opts, workload);
-  telemetry::Collector col4(fleet_tel_options(4.0));
-  ControlEngine e4(cfg, base);
-  const fleet::FleetResult controlled4 = sharded.run(nullptr, &col4, &e4);
-
-  // Result-neutral: the controlled runs produce the uncontrolled bits.
-  expect_fleet_bits(plain, controlled1);
-  expect_fleet_bits(plain, controlled4);
-
-  // The log is shard-count invariant, bit for bit, and covers every window
-  // of the workload's timeline.
-  EXPECT_TRUE(bit_equal(e1.log(), e4.log()));
-  EXPECT_EQ(control_log_digest(e1.log()), control_log_digest(e4.log()));
-  const std::size_t ticks = serial.ticks();
-  EXPECT_EQ(e1.log().windows_observed, (ticks + 3) / 4);
-
-  // The engine stream emitted its bookkeeping counters.
-  const telemetry::TelemetryReport rep = col1.report();
-  EXPECT_EQ(rep.totals[static_cast<std::size_t>(Counter::kControlWindows)],
-            e1.log().windows_observed);
-}
-
-TEST(ControlFleet, ReplayReexecutesTheLogExactly) {
-  ControlConfig cfg;
-  cfg.enabled = true;
-  cfg.window_ticks = 4;
-  const ShardControls base;
-  const sim::WorkloadParams params = churn_params(16);
-  const std::vector<sim::GroupScenario> workload = sim::make_workload(params);
-
-  fleet::FleetOptions opts;
-  opts.shards = 3;
-  const fleet::FleetService service(opts, workload);
-  fleet::SessionRecorder recorder(opts.master_seed, params, workload);
-  telemetry::Collector col(fleet_tel_options(4.0));
-  ControlEngine engine(cfg, base);
-  const fleet::FleetResult live = service.run(&recorder, &col, &engine);
-  ASSERT_FALSE(engine.log().actions.empty());
-
-  // Round-trip the trace through the codec, then replay with a fresh
-  // collector: the rebuilt counter plane must re-derive the live log.
-  std::stringstream ss;
-  recorder.write(ss);
-  const fleet::Replayer replayer(fleet::read_fleet_trace(ss));
-  telemetry::Collector replay_col(fleet_tel_options(4.0));
-  const fleet::Replayer::ReplayResult replayed =
-      replayer.replay(&replay_col, &cfg, &base);
-
-  EXPECT_EQ(replayed.result_mismatches, 0u);
-  expect_fleet_bits(live, replayed.fleet);
-  EXPECT_TRUE(bit_equal(engine.log(), replayed.control_log));
-}
-
-// --- serve integration ------------------------------------------------------
 
 fleet::ServerResult serve_controlled(const std::vector<sim::GroupScenario>& workload,
                                      fleet::ServerOptions opts,
@@ -305,9 +221,7 @@ fleet::ServerResult serve_controlled(const std::vector<sim::GroupScenario>& work
 }
 
 TEST(ControlServe, LogAndResultWorkerCountInvariantUnderShaping) {
-  ControlConfig cfg;
-  cfg.enabled = true;
-  cfg.window_ticks = 4;  // collector window below must match
+  const ControlConfig cfg;
   const std::vector<sim::GroupScenario> workload =
       sim::make_workload(churn_params(16));
 
@@ -326,12 +240,12 @@ TEST(ControlServe, LogAndResultWorkerCountInvariantUnderShaping) {
   base.shaper_max_defers = opts.shaping.max_defers;
 
   opts.workers = 1;
-  telemetry::Collector col1(fleet_tel_options(4.0));
+  telemetry::Collector col1(tel_options(4.0));
   ControlEngine e1(cfg, base);
   const fleet::ServerResult r1 = serve_controlled(workload, opts, col1, e1);
 
   opts.workers = 3;
-  telemetry::Collector col3(fleet_tel_options(4.0));
+  telemetry::Collector col3(tel_options(4.0));
   ControlEngine e3(cfg, base);
   const fleet::ServerResult r3 = serve_controlled(workload, opts, col3, e3);
 

@@ -6,6 +6,9 @@
 #include <cstdio>
 #include <map>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "des/scenario.hpp"
@@ -28,6 +31,11 @@ sim::WorkloadParams small_params(std::size_t sessions, std::uint64_t seed) {
   p.admit_spread_ticks = 3;
   p.include_des = true;
   return p;
+}
+
+void put_u64_at(std::string& s, std::size_t at, std::uint64_t v) {
+  for (int b = 0; b < 8; ++b)
+    s[at + static_cast<std::size_t>(b)] = static_cast<char>((v >> (8 * b)) & 0xffu);
 }
 
 void expect_bit_identical(const FleetResult& a, const FleetResult& b) {
@@ -267,11 +275,6 @@ TEST(FleetRecordReplay, ImplausibleCountsFailAsWireErrorNotBadAlloc) {
   recorder.write(out);
   const std::string good = out.str();
 
-  const auto put_u64_at = [](std::string& s, std::size_t at, std::uint64_t v) {
-    for (int b = 0; b < 8; ++b)
-      s[at + static_cast<std::size_t>(b)] =
-          static_cast<char>((v >> (8 * b)) & 0xffu);
-  };
   // Header layout: magic(4) version(2) master_seed(8) digest(8) -> params
   // start at 22 (sessions first), 7 u64s + 2 u8s -> session count at 80,
   // session 0's id at 88 and its event count at 96.
@@ -311,6 +314,56 @@ TEST(FleetRecordReplay, ImplausibleCountsFailAsWireErrorNotBadAlloc) {
     std::istringstream in(bad);
     EXPECT_THROW(read_fleet_trace(in), WireError);
   }
+}
+
+TEST(FleetRecordReplay, TamperedWorkloadHeaderFailsAsWireErrorNotBadAlloc) {
+  sim::WorkloadParams params = small_params(1, 0x43u);
+  params.include_des = false;
+  FleetOptions fo;
+  fo.master_seed = 8;
+  fo.shards = 1;
+  FleetService service(fo, sim::make_workload(params));
+  SessionRecorder recorder(fo.master_seed, params, service.workload());
+  service.run(&recorder);
+
+  std::ostringstream out;
+  recorder.write(out);
+  const std::string good = out.str();
+
+  // WorkloadParams start at byte 22: sessions, seed, min/max_group_size,
+  // min/max_rounds, admit_spread_ticks. The Replayer regenerates the
+  // workload from them before it can check the digest, so each range must
+  // be refused at decode — never reach Matrix(n, n) or a signed draw with
+  // lo > hi.
+  constexpr std::size_t kMinGroup = 38, kMaxGroup = 46, kMinRounds = 54,
+                        kMaxRounds = 62, kSpread = 70;
+  constexpr std::uint64_t kAboveInt64 = std::uint64_t{1} << 63;
+  const std::vector<std::pair<std::size_t, std::uint64_t>> tampered = {
+      {kMaxGroup, 100000},          {kMaxGroup, std::uint64_t{1} << 20},
+      {kMaxGroup, 513},             {kMaxGroup, kAboveInt64},
+      {kMaxGroup, 3},               {kMinGroup, 3},
+      {kMinRounds, 0},              {kMaxRounds, 1},
+      {kMaxRounds, kAboveInt64},    {kSpread, kAboveInt64},
+      {kSpread, ~std::uint64_t{0}},
+  };
+  for (const auto& [at, value] : tampered) {
+    std::string bad = good;
+    put_u64_at(bad, at, value);
+    std::istringstream in(bad);
+    EXPECT_THROW(read_fleet_trace(in), WireError) << "offset " << at << " = " << value;
+  }
+
+  // An in-memory trace skips the decoder; the Replayer applies the same
+  // bounds, and the generator itself refuses them too.
+  FleetTrace bad = recorder.trace();
+  bad.workload.max_group_size = std::size_t{1} << 20;
+  EXPECT_THROW(Replayer(std::move(bad)), WireError);
+  sim::WorkloadParams wide = params;
+  wide.max_group_size = 513;
+  EXPECT_THROW(sim::make_group_scenario(wide, 0), std::invalid_argument);
+  sim::WorkloadParams spread = params;
+  spread.admit_spread_ticks = kAboveInt64;
+  EXPECT_THROW(sim::make_group_scenario(spread, 0), std::invalid_argument);
 }
 
 TEST(FleetRecordReplay, WorkloadVersionSkewIsRejectedWithAClearError) {

@@ -32,10 +32,10 @@
 //                  as-is in Perfetto / chrome://tracing; span structure is
 //                  deterministic, wall-clock timing is not
 //   --control-log-out=FILE
-//                  fleet/serve only: force-enable the self-tuning control
-//                  plane (and telemetry, which drives it) and write the
-//                  ControlLog as JSON — every window-boundary decision the
-//                  policy engine took. The document is deterministic:
+//                  serve only: force-enable the self-tuning control plane
+//                  (and telemetry, which drives it) and write the
+//                  ControlLog as JSON — every window-boundary retune the
+//                  shaper tuner took. The document is deterministic:
 //                  byte-identical at any --threads (CI diffs exactly that)
 //   --print-spec   dump the normalized spec (defaults filled in) and exit
 //
@@ -271,7 +271,7 @@ Json telemetry_report_to_json(const uwp::config::ScenarioSpec& spec,
 
 // The whole document is the deterministic plane: the ControlLog is a pure
 // function of (window index, counter snapshot, control config), so these
-// bytes are identical at any shard/worker/thread count — CI diffs the file.
+// bytes are identical at any worker/thread count — CI diffs the file.
 Json control_log_to_json(const uwp::config::ScenarioSpec& spec,
                          const uwp::control::ControlLog& log) {
   Json actions = Json::array();
@@ -481,10 +481,9 @@ Json fleet_metrics_json(const uwp::fleet::FleetResult& res, Json& timing) {
 
 Json run_fleet(const uwp::config::ScenarioSpec& spec, Json& timing,
                uwp::telemetry::Collector* telemetry,
-               uwp::control::ControlEngine* engine,
                uwp::fleet::FleetResult& fleet_out) {
   const uwp::fleet::FleetService service = uwp::config::make_fleet_service(spec);
-  fleet_out = service.run(nullptr, telemetry, engine);
+  fleet_out = service.run(nullptr, telemetry);
   return fleet_metrics_json(fleet_out, timing);
 }
 
@@ -600,15 +599,20 @@ int main(int argc, char** argv) {
   if (int rc = probe_writable(args.control_path, "--control-log-out")) return rc;
 
   const bool control_run = !args.control_path.empty() || spec.control.enabled;
+  if (control_run && spec.mode != uwp::config::RunMode::kServe) {
+    std::fprintf(stderr,
+                 "uwp_run: control (control.enabled/--control-log-out) is only "
+                 "available in serve mode\n");
+    return 2;
+  }
   const bool telemetry_run = !args.telemetry_path.empty() ||
                              !args.slo_path.empty() || !args.trace_path.empty() ||
                              spec.telemetry.enabled || control_run;
   if (telemetry_run && spec.mode != uwp::config::RunMode::kFleet &&
       spec.mode != uwp::config::RunMode::kServe) {
     std::fprintf(stderr,
-                 "uwp_run: telemetry and control (--telemetry-out/--slo-out/"
-                 "--trace-spans-out/--control-log-out) are only available in "
-                 "fleet/serve mode\n");
+                 "uwp_run: telemetry (--telemetry-out/--slo-out/"
+                 "--trace-spans-out) is only available in fleet/serve mode\n");
     return 2;
   }
   std::unique_ptr<uwp::telemetry::Collector> collector;
@@ -624,10 +628,9 @@ int main(int argc, char** argv) {
   if (control_run) {
     // --control-log-out implies the control plane even when the spec leaves
     // it off (the engine needs no other configuration than the defaults).
-    uwp::control::ControlConfig ccfg = uwp::config::make_control_config(spec);
-    ccfg.enabled = true;
     engine = std::make_unique<uwp::control::ControlEngine>(
-        ccfg, uwp::config::make_control_baseline(spec));
+        uwp::config::make_control_config(spec),
+        uwp::config::make_control_baseline(spec));
   }
 
   std::printf("[%s] %s (mode %s)\n", args.spec_path.c_str(), spec.name.c_str(),
@@ -650,7 +653,7 @@ int main(int argc, char** argv) {
         metrics = run_des(spec, timing);
         break;
       case uwp::config::RunMode::kFleet:
-        metrics = run_fleet(spec, timing, collector.get(), engine.get(), fleet_res);
+        metrics = run_fleet(spec, timing, collector.get(), fleet_res);
         break;
       case uwp::config::RunMode::kServe:
         metrics = run_serve(spec, timing, collector.get(), engine.get(), fleet_res);
