@@ -26,14 +26,11 @@ void ShaperTunerPolicy::observe(const telemetry::Snapshot& snap,
   if (base_.shaper_rate <= 0.0) return;  // shaping disabled at baseline
   const std::uint64_t shed = get(snap, Counter::kIngestShed);
   const std::uint64_t deferred = get(snap, Counter::kIngestDeferred);
-  const std::uint64_t admitted = get(snap, Counter::kIngestAdmitted);
-  const std::uint64_t rounds = get(snap, Counter::kRounds);
 
   const double rate_max = base_.shaper_rate * cfg_.rate_max_multiplier;
   const double burst_max = base_.shaper_burst * cfg_.rate_max_multiplier;
-  if (shed > 0 && rounds >= admitted) {
-    // Frames shed while the workers drained everything they were given:
-    // the bucket, not the solvers, was the bottleneck. Open it up.
+  if (shed > 0) {
+    // Frames shed: the bucket was the bottleneck. Open it up.
     c.shaper_rate = std::min(rate_max, c.shaper_rate * cfg_.rate_step);
     c.shaper_burst = std::min(burst_max, c.shaper_burst + 2.0);
     c.shaper_max_defers =
@@ -58,13 +55,8 @@ void ControlEngine::bind_stream(telemetry::ShardStream* stream,
 }
 
 void ControlEngine::observe_window(std::uint64_t window,
-                                   telemetry::Snapshot snap) {
+                                   const telemetry::Snapshot& snap) {
   using telemetry::Counter;
-  // Mask the engine's own counters so its emissions never feed back into
-  // its decisions.
-  snap.counts[static_cast<std::size_t>(Counter::kControlWindows)] = 0;
-  snap.counts[static_cast<std::size_t>(Counter::kControlActions)] = 0;
-
   ShardControls next = controls_;
   shaper_.observe(snap, next);
 

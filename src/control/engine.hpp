@@ -2,10 +2,10 @@
 //
 // The engine owns the active ShardControls, the shaper tuner, and the
 // ControlLog. At every window boundary the ingest server hands it the
-// merged counter Snapshot for the window that just closed; the engine masks
-// its own control counters out, folds the shaper tuner, diffs the resulting
-// knob bundle against the active one, and appends one ControlAction per
-// changed field. The whole fold is
+// counter Snapshot of its own stream for the window that just closed; the
+// engine folds the shaper tuner, diffs the resulting knob bundle against
+// the active one, and appends one ControlAction per changed field. The
+// whole fold is
 //
 //   log = f(config, baseline, snapshots[0..n])
 //
@@ -32,16 +32,17 @@ struct ControlConfig {
 };
 
 // Shaper tuner: token-bucket rate/burst/defer budget from shed pressure.
-// Raises the admission rate multiplicatively while frames shed *and* the
-// workers kept pace with what was admitted (rounds >= admitted — shedding
-// was the bottleneck, not the solvers); decays back toward the spec
-// baseline on quiet windows. The defer budget rises with shed pressure so
-// bursts spread into the retry heap instead of coasting.
+// Raises the admission rate multiplicatively while frames shed; decays back
+// toward the spec baseline on quiet windows (nothing shed or deferred). The
+// defer budget rises with shed pressure so bursts spread into the retry
+// heap instead of coasting.
 //
-// observe() is a pure function of (snapshot, config, baseline) folded over
-// the ShardControls it is handed: it holds no mutable state, reads no wall
-// clock or RNG, and branches only on exact integer counter comparisons, so
-// the same snapshot sequence reproduces the same decisions bit for bit.
+// observe() reads only the ingest verdict counters kIngestShed and
+// kIngestDeferred. It is a pure function of (snapshot, config, baseline)
+// folded over the ShardControls it is handed: it holds no mutable state,
+// reads no wall clock or RNG, and branches only on exact integer counter
+// comparisons, so the same snapshot sequence reproduces the same decisions
+// bit for bit.
 class ShaperTunerPolicy {
  public:
   ShaperTunerPolicy(const ControlConfig& cfg, const ShardControls& baseline)
@@ -64,8 +65,8 @@ class ControlEngine {
   void bind_stream(telemetry::ShardStream* stream, double window_span);
 
   // Fold one closed window. Windows must be presented in increasing order;
-  // `snap` is the merged Snapshot for exactly that window.
-  void observe_window(std::uint64_t window, telemetry::Snapshot snap);
+  // `snap` holds the ingest verdict counters of exactly that window.
+  void observe_window(std::uint64_t window, const telemetry::Snapshot& snap);
 
   const ShardControls& controls() const { return controls_; }
   const ControlLog& log() const { return log_; }

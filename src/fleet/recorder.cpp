@@ -1,5 +1,6 @@
 #include "fleet/recorder.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <iterator>
 #include <stdexcept>
@@ -197,6 +198,8 @@ FleetTrace read_fleet_trace(std::istream& in) {
         default:
           throw WireError("fleet trace: unknown frame kind " + std::to_string(kind));
       }
+      // dt_s feeds the tracker on replay; NaN or inf would poison it.
+      if (!std::isfinite(ev.dt_s)) throw WireError("fleet trace: dt_s must be finite");
     }
   }
   if (r.pos != buf.size()) throw WireError("fleet trace: trailing bytes");

@@ -1,7 +1,5 @@
 #include "fleet/server.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <exception>
 #include <memory>
@@ -60,16 +58,10 @@ ServerResult Server::serve(Transport& transport, SessionRecorder* recorder,
   for (std::size_t w = 0; w < workers; ++w)
     queues.push_back(std::make_unique<BoundedQueue<WorkItem>>(opts_.queue_depth));
 
-  // Per-worker outputs, merged in worker order after the join. `processed`
-  // counters pair with the ingest loop's private dispatched counts to form
-  // the boundary barrier: a worker publishes each consumed item with a
-  // release increment, and the ingest loop's acquire spin at a window
-  // boundary is the happens-before edge that makes the closed window's
-  // counter pages safe to merge.
+  // Per-worker outputs, merged in worker order after the join.
   std::vector<std::vector<SessionConsumer>> consumers(workers);
   std::vector<std::vector<double>> latencies(workers);
   std::vector<std::exception_ptr> errors(workers);
-  std::vector<std::atomic<std::uint64_t>> processed(workers);
 
   auto worker_body = [&](std::size_t w) {
     // Sessions map to workers by id, so worker w owns the consumers of ids
@@ -93,9 +85,8 @@ ServerResult Server::serve(Transport& transport, SessionRecorder* recorder,
                         " after its kBye");
       // Counter windows key off the frame's virtual decision time (its own
       // t_s unless the shaper deferred it), which is what makes the
-      // counters section worker-count invariant — and what guarantees a
-      // frame's counters land in the window its verdict belongs to, so the
-      // boundary barrier sees every closed window complete.
+      // counters section worker-count invariant: a frame's counters land
+      // in the window its verdict belongs to.
       if (tel != nullptr) tel->set_time(item.decide_s);
 
       if (item.frame.kind == IngestKind::kBye) {
@@ -124,17 +115,12 @@ ServerResult Server::serve(Transport& transport, SessionRecorder* recorder,
 
     WorkItem item;
     while (queues[w]->pop(item)) {
-      if (errors[w] == nullptr) {  // failed: drain without processing
-        try {
-          process(item);
-        } catch (...) {
-          errors[w] = std::current_exception();
-        }
+      if (errors[w] != nullptr) continue;  // failed: drain without processing
+      try {
+        process(item);
+      } catch (...) {
+        errors[w] = std::current_exception();
       }
-      // Publish the consumption — after every side effect — so the ingest
-      // loop's boundary barrier can acquire the counter pages this item
-      // touched. Counted even on the drain path to keep the barrier live.
-      processed[w].fetch_add(1, std::memory_order_release);
     }
   };
 
@@ -143,11 +129,24 @@ ServerResult Server::serve(Transport& transport, SessionRecorder* recorder,
   for (std::size_t w = 0; w < workers; ++w) threads.emplace_back(worker_body, w);
 
   telemetry::ShardStream* const ingest_tel = col != nullptr ? &col->stream(0) : nullptr;
-  IngestScheduler scheduler(opts_.shaping, workload_.size());
+  // The serve-side control loop: at each window boundary of the virtual
+  // clock the scheduler hands the closed window to the engine and runs on
+  // with the knobs it returns. The tuner reads only the verdict counters
+  // this thread writes on its own stream, so the fold never waits on a
+  // worker, and the ControlLog is a pure function of the ingest schedule —
+  // byte-identical at any worker count.
+  IngestScheduler::Retune retune;
+  if (engine != nullptr)
+    retune = [&](std::uint64_t w) {
+      telemetry::Snapshot snap;
+      snap.window = w;
+      const std::vector<telemetry::ShardStream::CounterPage>& pages = ingest_tel->pages();
+      if (w < pages.size()) snap.counts = pages[w];
+      engine->observe_window(w, snap);
+      return engine->controls();
+    };
+  IngestScheduler scheduler(opts_.shaping, workload_.size(), window_s, std::move(retune));
   scheduler.set_telemetry(ingest_tel);
-  // Ingest-thread private: items pushed per queue, paired with `processed`
-  // at boundary barriers.
-  std::vector<std::uint64_t> dispatched(workers, 0);
   const IngestScheduler::Dispatch dispatch = [&](IngestFrame&& f, bool shed,
                                                  double decide_s) {
     const std::size_t w = static_cast<std::size_t>(f.session_id) % workers;
@@ -161,32 +160,6 @@ ServerResult Server::serve(Transport& transport, SessionRecorder* recorder,
     if (ingest_tel != nullptr && ingest_tel->trace_enabled())
       item.enq_ts = ingest_tel->trace_now();
     queues[w]->push(std::move(item));
-    ++dispatched[w];
-  };
-
-  // The serve-side control loop. Before feeding an arrival at or past a
-  // window boundary: resolve every retry due by the boundary (so the
-  // closing window's verdicts are final), quiesce the workers (the shaper
-  // tuner reads their kRounds), fold the window into the engine, and retune
-  // the shaper in place. Every step keys off the frames' virtual clock, so
-  // the ControlLog is a pure function of the ingest schedule — byte-identical
-  // at any worker count. The boundary times are computed as
-  // (window + 1) * window_s (multiplied, never accumulated) so
-  // verify_ingest_schedule's re-run hits bit-identical boundaries.
-  std::uint64_t closing = 0;  // window index the next boundary closes
-  double next_boundary = window_s;
-  const auto cross_boundaries = [&](double arrival_s) {
-    while (arrival_s >= next_boundary) {
-      scheduler.flush_until(next_boundary, dispatch);
-      for (std::size_t w = 0; w < workers; ++w)
-        while (processed[w].load(std::memory_order_acquire) < dispatched[w])
-          std::this_thread::yield();
-      const std::uint64_t w_closed = closing++;
-      engine->observe_window(w_closed, col->window_snapshot(w_closed));
-      const control::ShardControls& c = engine->controls();
-      scheduler.retune(c.shaper_rate, c.shaper_burst, c.shaper_max_defers);
-      next_boundary = static_cast<double>(closing + 1) * window_s;
-    }
   };
 
   ServerResult out;
@@ -201,7 +174,6 @@ ServerResult Server::serve(Transport& transport, SessionRecorder* recorder,
       const double trace_ts0 = tracing ? ingest_tel->trace_now() : 0.0;
       telemetry::SpanTimer span(ingest_tel, telemetry::Stage::kIngest);
       decode_ingest_frame(bytes, frame);
-      if (engine != nullptr) cross_boundaries(frame.t_s);
       // Trace root of the serve-side chain: one kIngest span per
       // measurement frame covering decode + the shaper's verdict, tagged
       // before on_frame consumes the frame.
@@ -232,22 +204,6 @@ ServerResult Server::serve(Transport& transport, SessionRecorder* recorder,
   for (const std::exception_ptr& e : errors)
     if (e != nullptr) std::rethrow_exception(e);
 
-  // Observe the trailing windows (the join above is the barrier). The window
-  // count is derived from the schedule's last decide time — a pure function
-  // of the ingest schedule, never of page-count bookkeeping, so
-  // ControlLog::windows_observed is worker-count invariant.
-  if (engine != nullptr && !scheduler.schedule().empty()) {
-    double last_decide = 0.0;
-    for (const IngestRecord& r : scheduler.schedule())
-      last_decide = std::max(last_decide, r.decide_s);
-    const std::uint64_t n_windows =
-        static_cast<std::uint64_t>(last_decide / window_s) + 1;
-    while (closing < n_windows) {
-      engine->observe_window(closing, col->window_snapshot(closing));
-      ++closing;
-    }
-  }
-
   // Merge per-session metrics in id order: bit-identical for any worker
   // count by construction.
   std::vector<SessionMetrics> metrics(workload_.size());
@@ -267,11 +223,10 @@ ServerResult Server::serve(Transport& transport, SessionRecorder* recorder,
   out.stats.workers_used = workers;
   out.schedule = scheduler.take_schedule();
   out.schedule_digest = ingest_schedule_digest(out.schedule);
-  out.stats.schedule_mismatches =
-      engine != nullptr
-          ? verify_ingest_schedule(out.schedule, opts_.shaping, workload_.size(),
-                                   engine->log().actions, window_s)
-          : verify_ingest_schedule(out.schedule, opts_.shaping, workload_.size());
+  std::span<const control::ControlAction> actions;
+  if (engine != nullptr) actions = engine->log().actions;
+  out.stats.schedule_mismatches = verify_ingest_schedule(
+      out.schedule, opts_.shaping, workload_.size(), actions, window_s);
   return out;
 }
 

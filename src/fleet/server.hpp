@@ -154,15 +154,16 @@ class Server {
   // time, stage spans) — so the counters section is invariant to the worker
   // count. `engine`, when set (requires enabled telemetry — throws
   // std::invalid_argument otherwise), gets stream workers + 1 and runs the
-  // control loop: at every telemetry-window boundary of the virtual clock
-  // the ingest loop flushes due retries, quiesces the workers (a
-  // dispatched-vs-processed barrier — the happens-before edge for the
-  // closed window's counter pages, whose kRounds the shaper tuner reads),
-  // folds the window into the engine, and retunes the shaper in place.
-  // Decisions depend only on the virtual clock, so the ControlLog is
-  // worker-count invariant. Throws WireError (the transport
-  // is closed first so producers unblock) on
+  // control loop inside the IngestScheduler's window loop: at every
+  // telemetry-window boundary of the virtual clock the scheduler flushes
+  // due retries, the engine folds the closed window of the ingest stream's
+  // own verdict counters, and the shaper runs on with the returned knobs.
+  // The ingest thread never waits on the workers; decisions depend only on
+  // the virtual clock, so the ControlLog is worker-count invariant. Throws
+  // WireError (the transport is closed first so producers unblock) on
   //   * a malformed frame or measurement payload,
+  //   * a t_s that is negative, not finite, or earlier than the previous
+  //     frame's, or a dt_s that is not finite,
   //   * an unknown session id,
   //   * a measurement whose device count is not its session's,
   //   * any frame for a session after that session's kBye.

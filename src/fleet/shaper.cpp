@@ -100,8 +100,14 @@ bool TokenBucketShaper::try_admit(std::size_t partition, double t_s) {
 
 // --- IngestScheduler --------------------------------------------------------
 
-IngestScheduler::IngestScheduler(const ShaperOptions& opts, std::size_t sessions)
-    : opts_(opts), shaper_(opts), backlog_(sessions) {}
+IngestScheduler::IngestScheduler(const ShaperOptions& opts, std::size_t sessions,
+                                 double window_s, Retune retune)
+    : opts_(opts),
+      shaper_(opts),
+      backlog_(sessions),
+      window_s_(window_s),
+      retune_(window_s > 0.0 ? std::move(retune) : Retune{}),
+      last_arrival_s_(-std::numeric_limits<double>::infinity()) {}
 
 bool IngestScheduler::resolve(Pending& p, double t_s, const Dispatch& dispatch) {
   IngestRecord& rec = schedule_[p.record];
@@ -127,6 +133,7 @@ bool IngestScheduler::resolve(Pending& p, double t_s, const Dispatch& dispatch) 
   }
 
   rec.decision = admit ? IngestDecision::kAdmit : IngestDecision::kShed;
+  last_decide_s_ = std::max(last_decide_s_, t_s);
   if (is_round) {
     ++(admit ? stats_.rounds_admitted : stats_.rounds_shed);
     if (telemetry_ != nullptr) {
@@ -156,7 +163,7 @@ void IngestScheduler::work_backlog(std::uint64_t session_id, double from_s,
   }
 }
 
-void IngestScheduler::flush(double now_s, const Dispatch& dispatch) {
+void IngestScheduler::flush_until(double now_s, const Dispatch& dispatch) {
   while (!retries_.empty() && retries_.top().retry_s <= now_s) {
     const Retry r = retries_.top();
     retries_.pop();
@@ -168,7 +175,12 @@ void IngestScheduler::on_frame(IngestFrame f, const Dispatch& dispatch) {
   if (f.session_id >= backlog_.size())
     throw WireError("ingest: session id " + std::to_string(f.session_id) +
                     " outside the workload");
-  flush(f.t_s, dispatch);
+  if (f.t_s < last_arrival_s_)
+    throw WireError("ingest: frame t_s " + std::to_string(f.t_s) +
+                    " is earlier than the previous frame's");
+  last_arrival_s_ = f.t_s;
+  close_windows(f.t_s, dispatch);
+  flush_until(f.t_s, dispatch);
 
   ++stats_.frames;
   IngestRecord rec;
@@ -200,83 +212,53 @@ void IngestScheduler::on_frame(IngestFrame f, const Dispatch& dispatch) {
   }
 }
 
-void IngestScheduler::flush_until(double now_s, const Dispatch& dispatch) {
-  flush(now_s, dispatch);
+void IngestScheduler::close_windows(double t_s, const Dispatch& dispatch) {
+  if (!retune_) return;
+  // Multiply, never accumulate: window w closes at exactly (w + 1) * window_s.
+  const auto boundary = [this] { return static_cast<double>(closed_ + 1) * window_s_; };
+  while (t_s >= boundary()) {
+    flush_until(boundary(), dispatch);  // the closing window's verdicts are final
+    close_window();
+  }
 }
 
-void IngestScheduler::retune(double rate_rounds_per_s, double burst_rounds,
-                             std::size_t max_defers) {
-  opts_.rate_rounds_per_s = rate_rounds_per_s;
-  opts_.burst_rounds = burst_rounds;
-  opts_.max_defers = max_defers;
-  shaper_.retune(rate_rounds_per_s, burst_rounds);
+void IngestScheduler::close_window() {
+  const control::ShardControls c = retune_(closed_++);
+  opts_.rate_rounds_per_s = c.shaper_rate;
+  opts_.burst_rounds = c.shaper_burst;
+  opts_.max_defers = c.shaper_max_defers;
+  shaper_.retune(c.shaper_rate, c.shaper_burst);
 }
 
 void IngestScheduler::finish(const Dispatch& dispatch) {
-  flush(std::numeric_limits<double>::infinity(), dispatch);
-}
-
-namespace {
-
-std::size_t schedule_mismatches(std::span<const IngestRecord> recorded,
-                                const std::vector<IngestRecord>& recomputed) {
-  std::size_t mismatches =
-      recomputed.size() > recorded.size() ? recomputed.size() - recorded.size() : 0;
-  const std::size_t n = std::min(recomputed.size(), recorded.size());
-  mismatches += recorded.size() - n;
-  for (std::size_t i = 0; i < n; ++i)
-    if (!bit_equal(recorded[i], recomputed[i])) ++mismatches;
-  return mismatches;
-}
-
-}  // namespace
-
-std::size_t verify_ingest_schedule(std::span<const IngestRecord> recorded,
-                                   const ShaperOptions& opts, std::size_t sessions) {
-  return verify_ingest_schedule(recorded, opts, sessions, {}, 0.0);
+  flush_until(std::numeric_limits<double>::infinity(), dispatch);
+  if (!retune_ || schedule_.empty()) return;
+  close_windows(last_decide_s_, dispatch);
+  close_window();  // the window holding the last decision
 }
 
 std::size_t verify_ingest_schedule(std::span<const IngestRecord> recorded,
                                    const ShaperOptions& opts, std::size_t sessions,
                                    std::span<const control::ControlAction> actions,
                                    double window_s) {
-  IngestScheduler scheduler(opts, sessions);
-  const IngestScheduler::Dispatch noop = [](IngestFrame&&, bool, double) {};
-
-  // Re-apply the log's shaper retunes exactly as the live ingest loop did:
-  // before feeding the first arrival at or past a window boundary, flush
-  // retries due by the boundary and retune from the actions logged for the
-  // window that just closed. Fold actions in order into a running knob
-  // bundle so a boundary with no logged change retunes to the same values
-  // it already had (a no-op, exactly as live).
-  double rate = opts.rate_rounds_per_s;
-  double burst = opts.burst_rounds;
-  std::size_t max_defers = opts.max_defers;
+  // Fold the log's actions in order into a running knob bundle, so a window
+  // with no logged change retunes to the values it already had (a no-op,
+  // exactly as live).
+  control::ShardControls knobs{opts.rate_rounds_per_s, opts.burst_rounds,
+                               opts.max_defers};
   std::size_t ai = 0;
-  std::uint64_t closing = 0;  // window index the next boundary closes
-  double next_boundary = window_s;
-  const auto cross_boundaries = [&](double arrival_s) {
-    if (window_s <= 0.0) return;
-    while (arrival_s >= next_boundary) {
-      scheduler.flush_until(next_boundary, noop);
-      const std::uint64_t w = closing++;
-      for (; ai < actions.size() && actions[ai].window <= w; ++ai) {
-        const control::ControlAction& a = actions[ai];
-        if (a.kind == control::ActionKind::kShaperRate) rate = a.value;
-        else if (a.kind == control::ActionKind::kShaperBurst) burst = a.value;
-        else if (a.kind == control::ActionKind::kShaperMaxDefers)
-          max_defers = static_cast<std::size_t>(a.value);
-      }
-      scheduler.retune(rate, burst, max_defers);
-      // Multiply, don't accumulate: the live ingest loop computes each
-      // boundary as (window + 1) * window_s, and the verifier must hit
-      // bit-identical boundary times.
-      next_boundary = static_cast<double>(closing + 1) * window_s;
+  IngestScheduler scheduler(opts, sessions, window_s, [&](std::uint64_t w) {
+    for (; ai < actions.size() && actions[ai].window <= w; ++ai) {
+      const control::ControlAction& a = actions[ai];
+      if (a.kind == control::ActionKind::kShaperRate) knobs.shaper_rate = a.value;
+      else if (a.kind == control::ActionKind::kShaperBurst) knobs.shaper_burst = a.value;
+      else if (a.kind == control::ActionKind::kShaperMaxDefers)
+        knobs.shaper_max_defers = static_cast<std::size_t>(a.value);
     }
-  };
-
+    return knobs;
+  });
+  const IngestScheduler::Dispatch noop = [](IngestFrame&&, bool, double) {};
   for (const IngestRecord& rec : recorded) {
-    cross_boundaries(rec.arrival_s);
     IngestFrame f;
     f.kind = rec.kind;
     f.session_id = rec.session_id;
@@ -285,7 +267,13 @@ std::size_t verify_ingest_schedule(std::span<const IngestRecord> recorded,
     scheduler.on_frame(std::move(f), noop);
   }
   scheduler.finish(noop);
-  return schedule_mismatches(recorded, scheduler.schedule());
+
+  const std::vector<IngestRecord>& recomputed = scheduler.schedule();
+  const std::size_t n = std::min(recomputed.size(), recorded.size());
+  std::size_t mismatches = std::max(recomputed.size(), recorded.size()) - n;
+  for (std::size_t i = 0; i < n; ++i)
+    if (!bit_equal(recorded[i], recomputed[i])) ++mismatches;
+  return mismatches;
 }
 
 }  // namespace uwp::fleet

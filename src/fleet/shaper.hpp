@@ -141,8 +141,17 @@ struct ShaperStats {
 // resolves. Control frames (kCoast / kBye) are never shed or deferred on
 // their own, but chain like any other frame to preserve session order.
 //
+// With a retune hook the scheduler is also the control plane's one window
+// loop. Window w closes at the virtual time (w + 1) * window_s. Before it
+// takes the first arrival at or past a boundary, the scheduler resolves
+// every retry due by that boundary, calls the hook with the closed
+// window's index, and runs on with the knobs the hook returns. The live
+// serve and verify_ingest_schedule both drive this loop, so they cross
+// bit-identical boundaries.
+//
 // Single-threaded by design (one ingest loop drives it); determinism comes
-// from processing frames in the nondecreasing t_s order the feeder emits.
+// from processing frames in nondecreasing t_s order, which on_frame
+// enforces.
 class IngestScheduler {
  public:
   // Dispatch: hand an admitted (shed = false) or shed (shed = true) frame
@@ -151,27 +160,21 @@ class IngestScheduler {
   // frame's counters land in the window its verdict belongs to.
   using Dispatch =
       std::function<void(IngestFrame&&, bool shed, double decide_s)>;
+  // Retune: called once per closed window, in window order, after every
+  // decision of that window is final; returns the shaper knobs (rate,
+  // burst, defer budget) to apply from the boundary on.
+  using Retune = std::function<control::ShardControls(std::uint64_t window)>;
 
-  IngestScheduler(const ShaperOptions& opts, std::size_t sessions);
+  // `retune` runs only when `window_s` > 0.
+  IngestScheduler(const ShaperOptions& opts, std::size_t sessions,
+                  double window_s = 0.0, Retune retune = {});
 
-  // Feed the next arrival (frames must arrive in nondecreasing t_s order;
-  // session_id must be < sessions). Throws WireError on a bad session id.
+  // Feed the next arrival. Throws WireError on a session id outside the
+  // workload or a t_s earlier than the previous arrival's.
   void on_frame(IngestFrame f, const Dispatch& dispatch);
 
-  // Resolve every retry scheduled at or before `now_s` — the control
-  // plane's window-boundary hook, so every decision belonging to a closing
-  // window is final before its counters are merged. Decide times derive
-  // from each retry's own slot (never from now_s), so calling this at a
-  // boundary does not perturb the schedule.
-  void flush_until(double now_s, const Dispatch& dispatch);
-
-  // Control-plane retune of the live bucket + defer budget. Must be called
-  // at virtual-time-defined points between frames (the ingest loop's
-  // window boundaries) to stay deterministic.
-  void retune(double rate_rounds_per_s, double burst_rounds,
-              std::size_t max_defers);
-
-  // Resolve every still-deferred frame (end of stream).
+  // End of stream: resolve every still-deferred frame, then close the
+  // trailing windows up to the one holding the last decision.
   void finish(const Dispatch& dispatch);
 
   const std::vector<IngestRecord>& schedule() const { return schedule_; }
@@ -203,7 +206,12 @@ class IngestScheduler {
   };
 
   // Run all retries scheduled at or before now_s (pass +inf to drain).
-  void flush(double now_s, const Dispatch& dispatch);
+  // Decide times derive from each retry's own slot, never from now_s.
+  void flush_until(double now_s, const Dispatch& dispatch);
+  // Close every window whose boundary is at or before t_s.
+  void close_windows(double t_s, const Dispatch& dispatch);
+  // Close window closed_: call the hook and apply the knobs it returns.
+  void close_window();
   // Attempt a session's backlog starting at from_s; re-queues on defer.
   void work_backlog(std::uint64_t session_id, double from_s, const Dispatch& dispatch);
   // One frame's admission attempt; true when resolved (dispatched either
@@ -218,24 +226,24 @@ class IngestScheduler {
   std::vector<IngestRecord> schedule_;
   ShaperStats stats_;
   telemetry::ShardStream* telemetry_ = nullptr;
+  double window_s_ = 0.0;
+  Retune retune_;
+  std::uint64_t closed_ = 0;  // windows closed so far
+  double last_arrival_s_ = 0.0;
+  double last_decide_s_ = 0.0;
 };
 
 // Recompute every decision from the recorded arrivals (the deterministic
 // inputs alone) and count records that disagree with the recording — the
-// schedule-level recorded-vs-recomputed verifier. 0 means the recording is
-// exactly what these options produce.
-std::size_t verify_ingest_schedule(std::span<const IngestRecord> recorded,
-                                   const ShaperOptions& opts, std::size_t sessions);
-
-// Control-aware re-verification: replays the recorded arrivals while
-// re-applying the ControlLog's shaper retunes at the same virtual-time
-// window boundaries the live ingest loop used (boundary length `window_s`,
-// actions in log order). With an empty action span and window_s <= 0 this
-// degenerates to the overload above. 0 mismatches means the recording is
-// exactly what (options, control log) produce.
+// schedule-level recorded-vs-recomputed verifier. With a control log it
+// runs the same window loop the live ingest loop ran (boundary length
+// `window_s`), with a retune hook that folds the log's actions in log
+// order; window_s <= 0 ignores the log. 0 means the recording is exactly
+// what (options, control log) produce. Throws WireError, as on_frame does,
+// on recorded arrivals that go backwards or name a session past `sessions`.
 std::size_t verify_ingest_schedule(std::span<const IngestRecord> recorded,
                                    const ShaperOptions& opts, std::size_t sessions,
-                                   std::span<const control::ControlAction> actions,
-                                   double window_s);
+                                   std::span<const control::ControlAction> actions = {},
+                                   double window_s = 0.0);
 
 }  // namespace uwp::fleet

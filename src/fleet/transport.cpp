@@ -1,5 +1,6 @@
 #include "fleet/transport.hpp"
 
+#include <cmath>
 #include <utility>
 
 namespace uwp::fleet {
@@ -32,6 +33,11 @@ void decode_ingest_frame(std::span<const std::uint8_t> in, IngestFrame& out) {
   out.round = r.u32();
   out.t_s = r.f64();
   out.dt_s = r.f64();
+  // The virtual clock keys shaping and telemetry windows, and dt_s feeds the
+  // tracker: neither may carry NaN or inf, nor may time run before zero.
+  if (!std::isfinite(out.t_s) || out.t_s < 0.0)
+    throw WireError("ingest frame: t_s must be finite and nonnegative");
+  if (!std::isfinite(out.dt_s)) throw WireError("ingest frame: dt_s must be finite");
   const std::uint64_t len = r.u64();
   r.need(len);
   if (out.kind != IngestKind::kMeasurement && len != 0)

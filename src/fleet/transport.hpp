@@ -54,8 +54,9 @@ struct IngestFrame {
 };
 
 // Whole-buffer frame codec (one frame per transport message). Decoders
-// validate magic/version/kind/length and throw WireError on malformed or
-// trailing bytes; like the rest of fleet/wire.*, they never read past the
+// validate magic/version/kind/length and the clocks (t_s finite and
+// nonnegative, dt_s finite), and throw WireError on malformed or trailing
+// bytes; like the rest of fleet/wire.*, they never read past the
 // buffer and never size an allocation from an unchecked length field.
 void encode_ingest_frame(const IngestFrame& f, std::vector<std::uint8_t>& out);
 void decode_ingest_frame(std::span<const std::uint8_t> in, IngestFrame& out);

@@ -211,16 +211,4 @@ const RoundOutput& RoundPipeline::run_round(RoundMeasurement& m, uwp::Rng& rng,
   return out_;
 }
 
-void RoundPipeline::run_batch(MeasurementModel& model, std::size_t rounds,
-                              uwp::Rng& rng, std::vector<double>& samples,
-                              double round_dt_s) {
-  for (std::size_t r = 0; r < rounds; ++r) {
-    model.measure(batch_meas_, rng);
-    const RoundOutput& out =
-        run_round(batch_meas_, rng, r == 0 ? 0.0 : round_dt_s);
-    for (std::size_t i = 1; i < out.error_2d.size(); ++i)
-      if (!std::isnan(out.error_2d[i])) samples.push_back(out.error_2d[i]);
-  }
-}
-
 }  // namespace uwp::pipeline

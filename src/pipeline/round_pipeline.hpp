@@ -104,19 +104,12 @@ class RoundPipeline {
   // (tracker prediction horizon; ignored when tracking is off). Payload
   // quantization mutates m.protocol in place — afterwards it holds exactly
   // the table the leader decoded. The returned reference stays valid until
-  // the next run_round/run_batch call.
+  // the next run_round call.
   const RoundOutput& run_round(RoundMeasurement& m, uwp::Rng& rng, double dt_s = 0.0);
 
   // A round that never happened (e.g. jammed by noise): advance the tracker
   // so it coasts on its motion model.
   void coast(double dt_s);
-
-  // Batched entry point for sim::SweepRunner trials: run `rounds`
-  // measure->solve rounds of `model`, appending every finite raw per-device
-  // error to `samples`. `round_dt_s` is the tracker prediction interval
-  // between consecutive rounds.
-  void run_batch(MeasurementModel& model, std::size_t rounds, uwp::Rng& rng,
-                 std::vector<double>& samples, double round_dt_s = 0.0);
 
  private:
   bool tracing() const;
@@ -130,7 +123,6 @@ class RoundPipeline {
   core::GroupTracker tracker_;
   core::LocalizerWorkspace loc_ws_;
   std::vector<std::optional<Vec2>> tracker_update_;
-  RoundMeasurement batch_meas_;
   RoundOutput out_;
   telemetry::ShardStream* telemetry_ = nullptr;
   // Cross-round warm start: true when the previous event was a localized,

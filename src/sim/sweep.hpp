@@ -63,9 +63,11 @@ using TrialFn = std::function<std::vector<double>(std::size_t trial, Rng& rng)>;
 //       [&](std::size_t trial, uwp::Rng& rng, void* ctx) {
 //         auto& pipe = *static_cast<pipeline::RoundPipeline*>(ctx);
 //         pipe.reset();  // forget cross-round state; workspaces stay warm
-//         std::vector<double> samples;
-//         pipe.run_batch(model_for(trial), rounds, rng, samples);
-//         return samples;
+//         pipeline::RoundMeasurement m;
+//         model_for(trial).measure(m, rng);
+//         const pipeline::RoundOutput& out = pipe.run_round(m, rng);
+//         return std::vector<double>(out.error_2d.begin() + 1,
+//                                    out.error_2d.end());
 //       });
 //
 // Contexts live for one run() call. To stay warm across *several* sweeps,

@@ -213,27 +213,6 @@ void Collector::drain_locked() {
   }
 }
 
-Snapshot Collector::window_snapshot(std::uint64_t w) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  Snapshot snap;
-  snap.window = w;
-  for (const std::unique_ptr<ShardStream>& s : streams_) {
-    const std::vector<ShardStream::CounterPage>& pages = s->pages();
-    if (w >= pages.size()) continue;
-    for (std::size_t c = 0; c < kCounterCount; ++c)
-      snap.counts[c] += pages[w][c];
-  }
-  return snap;
-}
-
-std::size_t Collector::window_count() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  std::size_t windows = 0;
-  for (const std::unique_ptr<ShardStream>& s : streams_)
-    windows = std::max(windows, s->pages().size());
-  return windows;
-}
-
 TelemetryReport Collector::report() {
   const std::lock_guard<std::mutex> lock(mu_);
   drain_locked();

@@ -153,7 +153,9 @@ class ShardStream {
   const std::vector<TraceSpan>& trace_spans() const { return trace_spans_; }
   std::uint64_t trace_dropped() const { return trace_dropped_; }
 
-  // Consumer-side view of the deterministic pages (post-join only).
+  // The deterministic pages, one per window from window 0. The producing
+  // thread may read them at any time; any other thread only after that
+  // producer has joined.
   using CounterPage = std::array<std::uint64_t, kCounterCount>;
   const std::vector<CounterPage>& pages() const { return pages_; }
 
@@ -224,15 +226,6 @@ class Collector {
   // Final report: drains, then merges counter pages in stream order.
   // Producers must have finished.
   TelemetryReport report();
-
-  // Deterministic counter sums for one window, merged across streams in
-  // stream order — the control plane's window hook. Callers must have a
-  // happens-before edge with every producer whose page row `w` they read
-  // (e.g. a barrier at the window boundary); streams that have not reached
-  // window `w` simply contribute nothing.
-  Snapshot window_snapshot(std::uint64_t w) const;
-  // Highest window index any stream has written, plus one.
-  std::size_t window_count() const;
 
  private:
   // Per-stream flight-recorder state, collector-side only (touched under

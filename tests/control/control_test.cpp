@@ -110,10 +110,12 @@ TEST(Policies, ShaperTunerOpensUnderShedPressureAndRelaxes) {
   ShaperTunerPolicy tuner(cfg, base);
   ShardControls c = base;
 
-  // Sheds while workers kept up: the bucket is the bottleneck.
+  // Frames shed: the bucket opens. kIngestAdmitted and kRounds are not
+  // inputs (each admitted frame runs its round at the same decide time), so
+  // a kRounds short of kIngestAdmitted changes nothing.
   tuner.observe(snap_with(0, {{Counter::kIngestShed, 5},
                               {Counter::kIngestAdmitted, 10},
-                              {Counter::kRounds, 10}}),
+                              {Counter::kRounds, 3}}),
                 c);
   EXPECT_DOUBLE_EQ(c.shaper_rate, 4.0 * cfg.rate_step);
   EXPECT_DOUBLE_EQ(c.shaper_burst, 10.0);
@@ -143,7 +145,7 @@ ControlLog fold(const ShardControls& base,
   return engine.log();
 }
 
-TEST(ControlEngine, FoldIsPureAndMasksItsOwnCounters) {
+TEST(ControlEngine, FoldIsPureAndIgnoresItsOwnCounters) {
   ShardControls base;
   base.shaper_rate = 4.0;
 
@@ -160,8 +162,9 @@ TEST(ControlEngine, FoldIsPureAndMasksItsOwnCounters) {
   EXPECT_EQ(a.windows_observed, 3u);
   EXPECT_FALSE(a.actions.empty());
 
-  // The engine's own emissions must not feed back into decisions: spiking
-  // the control counters in the input changes nothing.
+  // The engine's own emissions must not feed back into decisions: the
+  // tuner reads only the ingest verdicts, so spiking the control counters
+  // in the input changes nothing.
   std::vector<telemetry::Snapshot> spiked = snaps;
   for (telemetry::Snapshot& s : spiked) {
     s.counts[static_cast<std::size_t>(Counter::kControlWindows)] = 999;

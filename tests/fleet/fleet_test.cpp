@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -258,6 +260,20 @@ TEST(FleetRecordReplay, CorruptTracesAreRejected) {
     bad[force_kind_at] = 0x20;
     std::istringstream in(bad);
     EXPECT_THROW(read_fleet_trace(in), WireError);
+  }
+  // Session 0's first event: kind byte at 104 (past the 80-byte header,
+  // the session count, id and event count), its dt_s right behind it. A
+  // NaN or inf dt_s would poison the tracker on replay.
+  const std::size_t event_at = 104;
+  ASSERT_TRUE(good[event_at] == static_cast<char>(FrameKind::kCoast) ||
+              good[event_at] == static_cast<char>(FrameKind::kMeasurement));
+  for (const double dt_s : {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity()}) {
+    std::string bad = good;
+    put_u64_at(bad, event_at + 1, std::bit_cast<std::uint64_t>(dt_s));
+    std::istringstream in(bad);
+    EXPECT_THROW(read_fleet_trace(in), WireError) << "dt_s " << dt_s;
   }
 }
 

@@ -7,16 +7,27 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "fleet/recorder.hpp"
 #include "fleet/service.hpp"
 #include "sim/fleet_workload.hpp"
+#include "telemetry/collector.hpp"
 
 namespace uwp::fleet {
 namespace {
+
+// (t_s, dt_s) pairs no ingest frame may carry: t_s must be finite and
+// nonnegative, dt_s finite.
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+const std::vector<std::pair<double, double>> kHostileClocks = {
+    {kNan, 0.0}, {kInf, 0.0}, {-kInf, 0.0}, {-0.5, 0.0},
+    {0.0, kNan}, {0.0, kInf}, {0.0, -kInf}};
 
 sim::WorkloadParams small_params(std::size_t sessions, std::uint64_t seed) {
   sim::WorkloadParams p;
@@ -137,6 +148,17 @@ TEST(IngestFrameCodec, RejectsMalformedFrames) {
     bad.push_back(0);  // trailing bytes
     IngestFrame out;
     EXPECT_THROW(decode_ingest_frame(bad, out), WireError);
+  }
+  for (const auto& [t_s, dt_s] : kHostileClocks) {
+    IngestFrame coast;
+    coast.kind = IngestKind::kCoast;
+    coast.t_s = t_s;
+    coast.dt_s = dt_s;
+    std::vector<std::uint8_t> bytes;
+    encode_ingest_frame(coast, bytes);
+    IngestFrame out;
+    EXPECT_THROW(decode_ingest_frame(bytes, out), WireError)
+        << "t_s " << t_s << " dt_s " << dt_s;
   }
   {
     // A control frame must not carry a payload.
@@ -379,6 +401,35 @@ TEST(FleetServer, RejectsUnknownSessionIdAndMalformedFrames) {
       FAIL() << "mismatched device count accepted";
     } catch (const WireError& e) {
       EXPECT_NE(std::string(e.what()).find("device count"), std::string::npos);
+    }
+  }
+  {
+    // Hostile clocks fail the serve, and so does a t_s running backwards.
+    // Telemetry is on, so a bad t_s would otherwise index the counter pages.
+    std::vector<std::vector<std::pair<double, double>>> streams = {
+        {{2.0, 1.0}, {1.0, 1.0}}};
+    for (const std::pair<double, double>& clock : kHostileClocks)
+      streams.push_back({clock});
+    for (const std::vector<std::pair<double, double>>& clocks : streams) {
+      Server server({}, workload);
+      RingBufferTransport transport(4);
+      for (const auto& [t_s, dt_s] : clocks) {
+        IngestFrame f;
+        f.kind = IngestKind::kCoast;
+        f.session_id = 0;
+        f.t_s = t_s;
+        f.dt_s = dt_s;
+        std::vector<std::uint8_t> bytes;
+        encode_ingest_frame(f, bytes);
+        ASSERT_TRUE(transport.send(std::move(bytes)));
+      }
+      transport.close();
+      telemetry::TelemetryOptions topts;
+      topts.enabled = true;
+      topts.timing = false;
+      telemetry::Collector col(topts);
+      EXPECT_THROW(server.serve(transport, nullptr, &col), WireError)
+          << "last t_s " << clocks.back().first << " dt_s " << clocks.back().second;
     }
   }
   // kBye ends a session in every state: any later frame for that id fails

@@ -1,5 +1,6 @@
 // IngestScheduler edge cases: a zero-capacity token bucket, FIFO resolution
-// of retry-heap ties, and backlog-chain draining through a session's kBye.
+// of retry-heap ties, backlog-chain draining through a session's kBye, and
+// the window hook's retune.
 // Every schedule produced here must also recompute exactly through
 // verify_ingest_schedule — the edges are inside the determinism contract,
 // not exceptions to it.
@@ -201,8 +202,9 @@ TEST(ShaperEdge, ByeDrainsBehindDeferredBacklog) {
   EXPECT_EQ(verify_ingest_schedule(sched.schedule(), opts, 2), 0u);
 }
 
-// A mid-stream retune applies from the boundary on: the same arrivals that
-// deferred under the tight bucket sail through after flush_until + retune.
+// A retune applies from its window boundary on: the same arrivals that
+// deferred under the tight bucket sail through once the window hook opens
+// it, and the control-aware verifier replays the same window loop.
 TEST(ShaperEdge, RetuneAtBoundaryOpensTheBucket) {
   ShaperOptions opts = one_partition(AdmissionPolicy::kDefer);
   opts.rate_rounds_per_s = 1.0;
@@ -210,19 +212,28 @@ TEST(ShaperEdge, RetuneAtBoundaryOpensTheBucket) {
   opts.defer_delay_s = 0.25;
   opts.max_defers = 32;  // enough budget that nothing sheds pre-boundary
 
-  IngestScheduler sched(opts, 4);
+  std::vector<std::uint64_t> closed;
+  IngestScheduler sched(opts, 4, /*window_s=*/4.0, [&](std::uint64_t w) {
+    closed.push_back(w);
+    return control::ShardControls{100.0, 100.0, opts.max_defers};
+  });
   Capture cap;
   const auto dispatch = cap.fn();
   for (std::uint64_t s = 0; s < 4; ++s)
     sched.on_frame(frame(IngestKind::kMeasurement, s, 0, 0.0), dispatch);
   EXPECT_EQ(cap.out.size(), 1u);  // one token, three deferred
+  EXPECT_TRUE(closed.empty());
 
-  // Window boundary at t=4: flush due retries, then open the bucket.
-  sched.flush_until(4.0, dispatch);
-  sched.retune(100.0, 100.0, opts.max_defers);
-  for (std::uint64_t s = 0; s < 4; ++s)
+  // The first arrival at t=4 closes window 0: the retries due by then
+  // resolve under the tight bucket, then the hook opens it.
+  sched.on_frame(frame(IngestKind::kMeasurement, 0, 1, 4.0), dispatch);
+  EXPECT_EQ(closed, std::vector<std::uint64_t>{0});
+  EXPECT_EQ(cap.out.size(), 5u);
+  for (std::uint64_t s = 1; s < 4; ++s)
     sched.on_frame(frame(IngestKind::kMeasurement, s, 1, 4.0), dispatch);
   sched.finish(dispatch);
+  // finish() closes the window holding the last decision (t=4, window 1).
+  EXPECT_EQ(closed, (std::vector<std::uint64_t>{0, 1}));
 
   EXPECT_EQ(sched.stats().rounds_admitted, 8u);
   EXPECT_EQ(sched.stats().rounds_shed, 0u);
@@ -233,6 +244,12 @@ TEST(ShaperEdge, RetuneAtBoundaryOpensTheBucket) {
         r.decision == IngestDecision::kAdmit)
       ++instant;
   EXPECT_EQ(instant, 4u);
+
+  const std::vector<control::ControlAction> log = {
+      {0, control::ActionKind::kShaperRate, 100.0},
+      {0, control::ActionKind::kShaperBurst, 100.0}};
+  EXPECT_EQ(verify_ingest_schedule(sched.schedule(), opts, 4, log, 4.0), 0u);
+  EXPECT_GT(verify_ingest_schedule(sched.schedule(), opts, 4), 0u);
 }
 
 }  // namespace

@@ -155,35 +155,6 @@ TEST(RoundPipeline, TrackingFusesRoundsAndCoasts) {
   EXPECT_FALSE(pipe.tracker().track(2).initialized());
 }
 
-TEST(RoundPipeline, RunBatchMatchesManualRounds) {
-  const ClosedFormScene scene = test_scene();
-  const ArrivalErrorModel arrival{0.25, 0.008, 0.05};
-
-  std::vector<double> batch;
-  {
-    FastMeasurementModel model(scene, arrival);
-    RoundPipeline pipe(test_options(scene));
-    Rng rng(41);
-    pipe.run_batch(model, 6, rng, batch);
-  }
-  std::vector<double> manual;
-  {
-    FastMeasurementModel model(scene, arrival);
-    RoundPipeline pipe(test_options(scene));
-    RoundMeasurement m;
-    Rng rng(41);
-    for (int r = 0; r < 6; ++r) {
-      model.measure(m, rng);
-      const RoundOutput& out = pipe.run_round(m, rng);
-      for (std::size_t i = 1; i < out.error_2d.size(); ++i)
-        if (!std::isnan(out.error_2d[i])) manual.push_back(out.error_2d[i]);
-    }
-  }
-  ASSERT_EQ(batch.size(), manual.size());
-  for (std::size_t i = 0; i < batch.size(); ++i)
-    EXPECT_EQ(batch[i], manual[i]) << i;  // bitwise
-}
-
 // The waveform front-end and the one-shot ScenarioRunner wrapper agree
 // bitwise: the adapter rewire did not change the waveform path either.
 TEST(WaveformModel, ContextMatchesRunRound) {

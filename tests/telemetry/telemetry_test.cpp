@@ -286,7 +286,14 @@ TEST(CounterPlane, ServeSnapshotsBitIdenticalAcrossWorkerCounts) {
   const std::uint64_t shed =
       one.totals[static_cast<std::size_t>(Counter::kIngestShed)];
   EXPECT_GT(admitted, 0u);
-  // Every executed round was an admitted measurement frame.
+  // Every admitted measurement frame runs exactly one round, counted at the
+  // same decide time, so the two counters agree window by window at any
+  // worker count. This is why the shaper tuner needs only ingest counters.
+  for (const TelemetryReport* rep : {&one, &four})
+    for (const Snapshot& snap : rep->snapshots)
+      EXPECT_EQ(snap.counts[static_cast<std::size_t>(Counter::kRounds)],
+                snap.counts[static_cast<std::size_t>(Counter::kIngestAdmitted)])
+          << "window " << snap.window;
   EXPECT_EQ(one.totals[static_cast<std::size_t>(Counter::kRounds)], admitted);
   EXPECT_GT(shed + one.totals[static_cast<std::size_t>(Counter::kIngestDeferred)], 0u);
 }
