@@ -180,20 +180,13 @@ telemetry::TelemetryOptions make_telemetry_options(const ScenarioSpec& spec) {
   if (spec.mode == RunMode::kServe) opts.window *= spec.fleet.server.tick_period_s;
   opts.trace = spec.telemetry.trace.enabled;
   opts.trace_max_spans = spec.telemetry.trace.max_spans;
-  opts.flight.capacity = spec.telemetry.flight.capacity;
-  opts.flight.max_dumps = spec.telemetry.flight.max_dumps;
-  opts.flight.evict_storm = spec.telemetry.flight.evict_storm;
-  opts.flight.shed_burst = spec.telemetry.flight.shed_burst;
-  opts.flight.localize_failures = spec.telemetry.flight.localize_failures;
+  opts.flight = spec.telemetry.flight;
   return opts;
 }
 
 control::ControlConfig make_control_config(const ScenarioSpec& spec) {
   validate_or_throw(spec);
-  control::ControlConfig cfg;
-  cfg.rate_step = spec.control.rate_step;
-  cfg.rate_max_multiplier = spec.control.rate_max_multiplier;
-  return cfg;
+  return spec.control.config;
 }
 
 control::ShardControls make_control_baseline(const ScenarioSpec& spec) {

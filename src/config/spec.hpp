@@ -7,8 +7,9 @@
 //
 // The programmatic option structs the drivers already take
 // (sim::RoundOptions, proto::ProtocolConfig, des-style toggles,
-// sim::SweepOptions, fleet::FleetOptions, sim::WorkloadParams) are the
-// spec's *backing fields*, so a driver built from a spec is the same object
+// sim::SweepOptions, fleet::FleetOptions, sim::WorkloadParams,
+// telemetry::FlightOptions, control::ControlConfig) are the spec's
+// *backing fields*, so a driver built from a spec is the same object
 // a hand-wired main would construct — bit-identical results, pinned by
 // tests/config/. Factories live in config/factory.hpp; the uwp_run CLI
 // (tools/uwp_run.cpp) is the standard way to execute a spec file.
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "config/json.hpp"
+#include "control/engine.hpp"
 #include "core/tracker.hpp"
 #include "fleet/server.hpp"
 #include "fleet/service.hpp"
@@ -27,6 +29,7 @@
 #include "sim/fleet_workload.hpp"
 #include "sim/scenario.hpp"
 #include "sim/sweep.hpp"
+#include "telemetry/collector.hpp"
 #include "util/geometry.hpp"
 
 namespace uwp::config {
@@ -153,14 +156,7 @@ struct TelemetrySpec {
   // Flight recorder (telemetry.flight{}): bounded per-stream ring of
   // recently drained events, dumped on anomaly triggers. Thresholds are
   // counter deltas per telemetry window.
-  struct FlightSpec {
-    std::size_t capacity = 256;  // retained events per stream; 0 disables
-    std::size_t max_dumps = 4;   // dump budget per stream
-    std::size_t evict_storm = 8;
-    std::size_t shed_burst = 16;
-    std::size_t localize_failures = 8;
-  };
-  FlightSpec flight{};
+  telemetry::FlightOptions flight{};
 };
 
 // Control section (serve mode only): the self-tuning control plane
@@ -172,10 +168,7 @@ struct TelemetrySpec {
 // emitted ControlLog is byte-identical at any worker/thread count.
 struct ControlSpec {
   bool enabled = false;
-  // Shaper tuner: multiplicative rate step per pressured window and the cap
-  // (baseline rate x multiplier).
-  double rate_step = 1.25;
-  double rate_max_multiplier = 4.0;
+  control::ControlConfig config{};  // rate_step, rate_max_multiplier
 };
 
 struct ScenarioSpec {

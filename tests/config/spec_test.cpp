@@ -4,7 +4,9 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -138,6 +140,10 @@ ScenarioSpec random_spec(uwp::Rng& rng, bool include_nan) {
   s.telemetry.flight.shed_burst = static_cast<std::size_t>(rng.uniform_int(1, 64));
   s.telemetry.flight.localize_failures =
       static_cast<std::size_t>(rng.uniform_int(1, 64));
+
+  s.control.enabled = rng.bernoulli(0.5);
+  s.control.config.rate_step = rng.uniform(1.01, 3.0);
+  s.control.config.rate_max_multiplier = rng.uniform(1.0, 8.0);
   return s;
 }
 
@@ -147,6 +153,16 @@ TEST(SpecRoundTrip, DefaultSpecSurvivesBothFormats) {
     const ScenarioSpec back = parse_spec(write_spec(spec, hexfloat));
     EXPECT_TRUE(bit_equal(spec, back)) << "hexfloat=" << hexfloat;
   }
+}
+
+// The writer's key order and formatting, pinned byte for byte: the field
+// lists in spec.cpp decide both, and a reordered list must fail here.
+TEST(SpecRoundTrip, DefaultSpecMatchesGolden) {
+  std::ifstream in(UWP_DEFAULT_SPEC_JSON, std::ios::binary);
+  ASSERT_TRUE(in) << "cannot open " << UWP_DEFAULT_SPEC_JSON;
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(write_spec(ScenarioSpec{}), golden.str());
 }
 
 TEST(SpecRoundTrip, InvalidIntFieldsSerializeVerbatimNotClamped) {
@@ -272,6 +288,18 @@ TEST(SpecValidate, EachRejectedFieldReportsItsPath) {
   {
     ScenarioSpec s;
     s.deployment.preset = DeploymentPreset::kExplicit;
+    expect_invalid(s, "deployment.positions");
+  }
+  for (const std::size_t devices : {std::size_t{513}, std::size_t{20000}}) {
+    // Above the wire codec's device cap: every driver sizes n x n matrices
+    // from the deployment's device count.
+    ScenarioSpec s;
+    s.protocol.num_devices = devices;
+    s.deployment.preset = DeploymentPreset::kAnalytical;
+    s.deployment.devices = devices;
+    expect_invalid(s, "deployment.devices");
+    s.deployment.preset = DeploymentPreset::kExplicit;
+    s.deployment.positions.assign(devices, Vec3{0, 0, 1});
     expect_invalid(s, "deployment.positions");
   }
   {
