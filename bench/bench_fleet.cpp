@@ -117,9 +117,8 @@ int main(int argc, char** argv) {
   uwp::sim::WorkloadParams params;
   params.sessions = sessions;
   params.seed = 0xBE7Cu;
-  // Stagger admissions across most of the timeline so sessions churn: late
-  // admissions land on pipelines warmed by early evictions (the arena-reuse
-  // steady state a long-lived service settles into).
+  // Stagger admissions across most of the timeline so sessions churn, as
+  // they do in a long-lived service.
   params.admit_spread_ticks = 16;
   const std::vector<uwp::sim::GroupScenario> workload = uwp::sim::make_workload(params);
 
@@ -213,9 +212,8 @@ int main(int argc, char** argv) {
     std::printf("  %s=%zu", uwp::sim::to_string(kind), count);
   std::printf("\n\n");
 
-  std::printf("%8s %12s %14s %14s %15s %10s %10s\n", "shards", "rounds/sec",
-              "p50 round[ms]", "p99 round[ms]", "p999 round[ms]", "wall[s]",
-              "reused");
+  std::printf("%8s %12s %14s %14s %15s %10s\n", "shards", "rounds/sec",
+              "p50 round[ms]", "p99 round[ms]", "p999 round[ms]", "wall[s]");
   uwp::fleet::FleetResult last;
   std::vector<std::size_t> shard_counts = {1, 2, shards == 1 ? 4 : shards};
   // Dedupe resolved counts (e.g. --threads=2, or 0 resolving to 2 on a
@@ -232,16 +230,12 @@ int main(int argc, char** argv) {
     fo.master_seed = 0xF1EE7u;
     fo.shards = s;
     fo.measure_latency = true;
-    uwp::fleet::FleetService service(fo, workload);
-    uwp::fleet::FleetResult r = service.run();
+    uwp::fleet::FleetResult r = uwp::fleet::FleetService(fo, workload).run();
     const uwp::sim::RateLatency rl =
         uwp::sim::rate_latency(r.rounds, r.wall_seconds, r.round_latency_s);
-    std::printf("%8zu %12.0f %14.3f %14.3f %15.3f %10.2f %9zu%%\n", r.shards_used,
+    std::printf("%8zu %12.0f %14.3f %14.3f %15.3f %10.2f\n", r.shards_used,
                 rl.rounds_per_sec, rl.p50_s * 1e3, rl.p99_s * 1e3, rl.p999_s * 1e3,
-                r.wall_seconds,
-                service.arena_stats().leases == 0
-                    ? 0
-                    : 100 * service.arena_stats().reuses / service.arena_stats().leases);
+                r.wall_seconds);
     last = std::move(r);
   }
 

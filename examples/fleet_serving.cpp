@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   }
 
   // 1. The mixed workload the spec describes (admissions staggered past the
-  //    first evictions so the shard arenas get to rebind warm pipelines).
+  //    first evictions, so sessions churn).
   const uwp::fleet::FleetService service = uwp::config::make_fleet_service(spec);
   const auto& workload = service.workload();
 
@@ -55,8 +55,6 @@ int main(int argc, char** argv) {
               live.shards_used, live.rounds, live.localized, live.coasts);
   std::printf("          %.0f rounds/sec, round latency p50=%.2f ms p99=%.2f ms\n",
               rl.rounds_per_sec, rl.p50_s * 1e3, rl.p99_s * 1e3);
-  std::printf("          arena: %zu admissions, %zu warm-pipeline reuses\n",
-              service.arena_stats().leases, service.arena_stats().reuses);
   uwp::sim::print_summary_row("per-device error", live.errors);
 
   // 3. Save the trace, reload it, replay it through the real decode ->

@@ -5,20 +5,10 @@
 
 namespace uwp::core {
 
-std::vector<Vec2> translate_leader_to_origin(std::vector<Vec2> pts) {
-  translate_leader_to_origin_inplace(pts);
-  return pts;
-}
-
 void translate_leader_to_origin_inplace(std::vector<Vec2>& pts) {
   if (pts.empty()) return;
   const Vec2 origin = pts[0];
   for (Vec2& p : pts) p = p - origin;
-}
-
-std::vector<Vec2> resolve_rotation(std::vector<Vec2> pts, double pointing_bearing_rad) {
-  resolve_rotation_inplace(pts, pointing_bearing_rad);
-  return pts;
 }
 
 void resolve_rotation_inplace(std::vector<Vec2>& pts, double pointing_bearing_rad) {
@@ -28,12 +18,6 @@ void resolve_rotation_inplace(std::vector<Vec2>& pts, double pointing_bearing_ra
   const double current = bearing(pts[1]);
   const double delta = wrap_angle(pointing_bearing_rad - current);
   for (Vec2& p : pts) p = rotate(p, delta);
-}
-
-std::vector<Vec2> flip_configuration(const std::vector<Vec2>& pts) {
-  std::vector<Vec2> out;
-  flip_configuration_into(out, pts);
-  return out;
 }
 
 void flip_configuration_into(std::vector<Vec2>& out, const std::vector<Vec2>& pts) {
@@ -56,20 +40,6 @@ double flip_vote_score(const std::vector<Vec2>& pts, const std::vector<MicVote>&
     score += static_cast<double>(v.mic_sign) * s;
   }
   return score;
-}
-
-FlipDecision resolve_flip(const std::vector<Vec2>& pts, const std::vector<MicVote>& votes) {
-  FlipDecision d;
-  const std::vector<Vec2> mirrored = flip_configuration(pts);
-  d.score_original = flip_vote_score(pts, votes);
-  d.score_flipped = flip_vote_score(mirrored, votes);
-  if (d.score_flipped > d.score_original) {
-    d.positions = mirrored;
-    d.flipped = true;
-  } else {
-    d.positions = pts;
-  }
-  return d;
 }
 
 }  // namespace uwp::core

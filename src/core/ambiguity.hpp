@@ -21,36 +21,21 @@ struct MicVote {
   int mic_sign = 0;  // +1, -1, or 0 (uninformative)
 };
 
-// Translate so node 0 is at the origin.
-std::vector<Vec2> translate_leader_to_origin(std::vector<Vec2> pts);
-
-// Rotate about the origin so node 1 lies at absolute bearing
-// `pointing_bearing_rad` from node 0 (node 0 must already be at the origin).
-std::vector<Vec2> resolve_rotation(std::vector<Vec2> pts, double pointing_bearing_rad);
-
-// In-place counterparts (bit-identical, no allocation).
+// Translate in place so node 0 is at the origin.
 void translate_leader_to_origin_inplace(std::vector<Vec2>& pts);
+
+// Rotate in place about the origin so node 1 lies at absolute bearing
+// `pointing_bearing_rad` from node 0. Throws std::invalid_argument unless
+// node 0 is already at the origin.
 void resolve_rotation_inplace(std::vector<Vec2>& pts, double pointing_bearing_rad);
 
-// The mirror image of the configuration across the node0->node1 line.
-std::vector<Vec2> flip_configuration(const std::vector<Vec2>& pts);
-
-// Workspace variant writing into `out` (reused buffer).
+// Write into `out` (a reused buffer) the mirror image of the configuration
+// across the node0->node1 line.
 void flip_configuration_into(std::vector<Vec2>& out, const std::vector<Vec2>& pts);
 
 // Voting function V({P}) (§2.1.4): sum over votes of
-// mic_sign * sgn(side_of_line(P_node, P_0, P_1)).
+// mic_sign * sgn(side_of_line(P_node, P_0, P_1)). The localizer keeps the
+// mirrored configuration only when it scores strictly higher.
 double flip_vote_score(const std::vector<Vec2>& pts, const std::vector<MicVote>& votes);
-
-// Pick the configuration (original or mirrored) with the higher vote score.
-// Ties keep the original. Returns the chosen configuration and whether a
-// flip was applied.
-struct FlipDecision {
-  std::vector<Vec2> positions;
-  bool flipped = false;
-  double score_original = 0.0;
-  double score_flipped = 0.0;
-};
-FlipDecision resolve_flip(const std::vector<Vec2>& pts, const std::vector<MicVote>& votes);
 
 }  // namespace uwp::core

@@ -9,12 +9,6 @@
 
 namespace uwp::core {
 
-Matrix shortest_path_completion(const Matrix& dist, const Matrix& weights) {
-  Matrix out;
-  shortest_path_completion_into(out, dist, weights);
-  return out;
-}
-
 void shortest_path_completion_into(Matrix& out, const Matrix& dist,
                                    const Matrix& weights) {
   const std::size_t n = dist.rows();

@@ -11,11 +11,6 @@
 
 namespace uwp::core {
 
-// Complete a partially observed distance matrix by all-pairs shortest paths
-// over the observed links. Unreachable pairs fall back to the largest
-// observed distance (keeps the Gram matrix bounded).
-Matrix shortest_path_completion(const Matrix& dist, const Matrix& weights);
-
 // Classical MDS embedding into 2D from a complete distance matrix.
 std::vector<Vec2> classical_mds_2d(const Matrix& dist);
 
@@ -31,8 +26,13 @@ struct ClassicalMdsWorkspace {
   EigenWorkspace eigen;
 };
 
+// Complete a partially observed distance matrix into `out` by all-pairs
+// shortest paths over the observed links. Unreachable pairs fall back to the
+// largest observed distance (keeps the Gram matrix bounded). Throws
+// std::invalid_argument on a shape mismatch.
 void shortest_path_completion_into(Matrix& out, const Matrix& dist,
                                    const Matrix& weights);
+
 void classical_mds_2d_into(std::vector<Vec2>& out, const Matrix& dist,
                            ClassicalMdsWorkspace& ws);
 void classical_mds_2d_weighted_into(std::vector<Vec2>& out, const Matrix& dist,

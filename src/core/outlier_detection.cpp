@@ -48,15 +48,6 @@ std::vector<std::vector<std::size_t>> subsets_of_size(std::size_t n, std::size_t
   return out;
 }
 
-OutlierResult localize_with_outlier_detection(const Matrix& dist, const Matrix& weights,
-                                              const OutlierOptions& opts, uwp::Rng& rng,
-                                              const std::vector<Vec2>* init) {
-  OutlierWorkspace ws;
-  OutlierResult out;
-  localize_with_outlier_detection_into(out, dist, weights, opts, rng, ws, init);
-  return out;
-}
-
 void localize_with_outlier_detection_into(OutlierResult& out, const Matrix& dist,
                                           const Matrix& weights,
                                           const OutlierOptions& opts, uwp::Rng& rng,

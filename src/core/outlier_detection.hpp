@@ -66,19 +66,10 @@ struct OutlierResult {
   std::int64_t iterations = 0;
 };
 
-// Algorithm 1: localize with outlier detection. `dist` is the projected 2D
-// distance matrix, `weights` the initial link indicator matrix. When `init`
-// is given (a predicted layout from a tracker, say) the base solve warm
-// starts from it with no random restarts — no rng draws — instead of the
-// cold classical-MDS + restarts seed.
-OutlierResult localize_with_outlier_detection(const Matrix& dist, const Matrix& weights,
-                                              const OutlierOptions& opts, uwp::Rng& rng,
-                                              const std::vector<Vec2>* init = nullptr);
-
-// Reusable scratch for the workspace variant. The base SMACOF workspace
-// keeps its V^+ cache warm across rounds (clean rounds repeat the same
-// weight pattern); candidate solves run on search lanes with their own, so
-// they never evict it.
+// Reusable scratch for localize_with_outlier_detection_into. The base
+// SMACOF workspace keeps its V^+ cache warm across rounds (clean rounds
+// repeat the same weight pattern); candidate solves run on search lanes
+// with their own, so they never evict it.
 struct OutlierWorkspace {
   SmacofWorkspace smacof_base;
   SmacofResult base;
@@ -105,8 +96,12 @@ struct OutlierWorkspace {
   std::vector<SearchLane> lanes;
 };
 
-// Workspace variant: bit-identical to the allocating form, no steady-state
-// heap traffic on clean (below-threshold) rounds.
+// Algorithm 1: localize with outlier detection. `dist` is the projected 2D
+// distance matrix, `weights` the initial link indicator matrix. When `init`
+// is given (a predicted layout from a tracker, say) the base solve warm
+// starts from it with no random restarts — no rng draws — instead of the
+// cold classical-MDS + restarts seed. All scratch lives in `ws`: no
+// steady-state heap traffic on clean (below-threshold) rounds.
 void localize_with_outlier_detection_into(OutlierResult& out, const Matrix& dist,
                                           const Matrix& weights,
                                           const OutlierOptions& opts, uwp::Rng& rng,

@@ -1,5 +1,6 @@
 #include "core/tracker.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -33,6 +34,15 @@ void DiverTrack::predict(double dt_s) {
 
   state_ = f * state_;
   cov_ = f * cov_ * f.transposed() + qm;
+
+  // A horizon long enough to overflow the model (a hostile or corrupt dt)
+  // leaves nothing worth tracking: start over from the next measurement
+  // rather than gate and warm-start from inf/NaN.
+  const auto finite = [](const Matrix& m) {
+    return std::all_of(m.data().begin(), m.data().end(),
+                       [](double v) { return std::isfinite(v); });
+  };
+  if (!finite(state_) || !finite(cov_)) *this = DiverTrack(cfg_);
 }
 
 bool DiverTrack::update(Vec2 measured, double sigma_m) {

@@ -39,7 +39,8 @@ class DiverTrack {
 
   bool initialized() const { return initialized_; }
 
-  // Advance the motion model by dt seconds.
+  // Advance the motion model by dt seconds. A dt so large that the state or
+  // covariance stops being finite resets the track to uninitialized.
   void predict(double dt_s);
 
   // Fuse a position measurement. `sigma_m` overrides the configured

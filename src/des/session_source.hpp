@@ -25,7 +25,7 @@ class DesSessionSource final : public pipeline::MeasurementModel {
   // Same construction contract as DesScenario (cfg.rounds is ignored — the
   // fleet decides the session's lifetime). The mobility model is shared,
   // not owned. Non-movable: the medium, nodes and hooks hold pointers into
-  // each other, so fleet arenas keep it behind a unique_ptr.
+  // each other, so the fleet's MeasurementFeed keeps it behind a unique_ptr.
   DesSessionSource(DesScenarioConfig cfg, std::shared_ptr<const MobilityModel> mobility,
                    std::vector<audio::AudioTimingConfig> audio, Matrix connectivity);
 

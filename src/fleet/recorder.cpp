@@ -237,10 +237,6 @@ Replayer::ReplayResult Replayer::replay(telemetry::Collector* telemetry) const {
   if (col != nullptr) col->open(1);
   telemetry::ShardStream* const tel = col != nullptr ? &col->stream(0) : nullptr;
 
-  // One arena for the whole replay: reuse is result-neutral by the
-  // ShardArena contract, and leasing through it is what counts the admits.
-  ShardArena arena;
-  arena.set_telemetry(tel);
   RoundRecord recorded;
   for (std::size_t id = 0; id < trace_.sessions.size(); ++id) {
     const sim::GroupScenario& sc = workload_[id];
@@ -263,7 +259,7 @@ Replayer::ReplayResult Replayer::replay(telemetry::Collector* telemetry) const {
       }
       if (tel != nullptr) tel->set_time(static_cast<double>(sc.admit_tick + event_index));
       ++event_index;
-      if (session.state() == SessionState::kPending) session.admit(arena, nullptr, tel);
+      if (session.state() == SessionState::kPending) session.admit(nullptr, tel);
       if (ev.kind == FrameKind::kCoast) {
         session.coast(ev.dt_s);
         recomputed = nullptr;

@@ -116,11 +116,10 @@ void write_fleet_trace(std::ostream& out, const FleetTrace& trace);
 
 // Replays a captured fleet run through the real service stack: regenerates
 // the workload from the trace header and serves each session, in id order,
-// through a SessionConsumer leasing from one ShardArena — the same
-// admit/coast/round/evict path the live services use. Every measurement is
-// decoded from its recorded bytes and run with the session's re-derived
-// solver stream. Produces the same FleetResult a live run produces, bit for
-// bit.
+// through a SessionConsumer — the same admit/coast/round/evict path the
+// live services use. Every measurement is decoded from its recorded bytes
+// and run with the session's re-derived solver stream. Produces the same
+// FleetResult a live run produces, bit for bit.
 class Replayer {
  public:
   explicit Replayer(FleetTrace trace);
@@ -132,7 +131,7 @@ class Replayer {
     std::size_t result_mismatches = 0;
   };
   // `telemetry`, when given and enabled, is opened with one stream that the
-  // arena and the consumers count into, as a live tick-scheduled fleet
+  // consumers count into, as a live tick-scheduled fleet
   // run's shards do — each event stamped at virtual time admit_tick + event
   // index, so with the live run's window length the rebuilt counter plane
   // matches the live one page for page.

@@ -70,15 +70,13 @@ ServerResult Server::serve(Transport& transport, SessionRecorder* recorder,
     mine.reserve(workload_.size() / workers + 1);
     for (std::size_t id = w; id < workload_.size(); id += workers)
       mine.emplace_back(workload_[id], opts_.master_seed);
-    ShardArena arena;
     telemetry::ShardStream* const tel = col != nullptr ? &col->stream(1 + w) : nullptr;
-    arena.set_telemetry(tel);
     std::vector<double>* lat = opts_.measure_latency ? &latencies[w] : nullptr;
 
     const auto process = [&](WorkItem& item) {
       const std::uint64_t id = item.frame.session_id;
       SessionConsumer& s = mine[static_cast<std::size_t>(id) / workers];
-      // kBye ends a session in every state; a later frame would re-lease a
+      // kBye ends a session in every state; a later frame would rebuild a
       // runtime and wipe the session's recorded trace mid-run.
       if (s.state() == SessionState::kEvicted)
         throw WireError("ingest: frame for session " + std::to_string(id) +
@@ -93,7 +91,7 @@ ServerResult Server::serve(Transport& transport, SessionRecorder* recorder,
         s.evict();
         return;
       }
-      if (s.state() == SessionState::kPending) s.admit(arena, recorder, tel);
+      if (s.state() == SessionState::kPending) s.admit(recorder, tel);
 
       if (item.frame.kind == IngestKind::kCoast || item.shed) {
         // Device-side dropout and server-side shed land in the same
@@ -159,6 +157,7 @@ ServerResult Server::serve(Transport& transport, SessionRecorder* recorder,
     item.decide_s = decide_s;
     if (ingest_tel != nullptr && ingest_tel->trace_enabled())
       item.enq_ts = ingest_tel->trace_now();
+    // The queues close only after the ingest loop ends, so push never fails.
     queues[w]->push(std::move(item));
   };
 

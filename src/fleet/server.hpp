@@ -1,7 +1,7 @@
 // The serving front-end: fleet::Server consumes a stream of wire-encoded
 // ingest frames from a Transport and runs them through the same
-// SessionConsumer (arena lease, warm pipeline, solver stream, metrics)
-// FleetService drives synchronously.
+// SessionConsumer (pipeline, solver stream, metrics) FleetService drives
+// synchronously.
 //
 //   producers --frames--> Transport --> ingest loop --> IngestScheduler
 //                                           |                 |
@@ -12,8 +12,8 @@
 //                                  dispatch queues        (IngestRecord[])
 //                                           |
 //                                      worker threads
-//                               (ShardArena + one SessionConsumer
-//                                per owned session id)
+//                               (one SessionConsumer per owned
+//                                session id)
 //
 // Concurrency is real — bounded queues, blocking backpressure, worker
 // threads — but none of it is allowed to influence results:
@@ -33,10 +33,7 @@
 // (workload, master_seed).
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <vector>
 
 #include "fleet/service.hpp"
@@ -48,56 +45,6 @@ class ControlEngine;
 }
 
 namespace uwp::fleet {
-
-// --- bounded dispatch queue -------------------------------------------------
-
-// Single-producer (the ingest loop) bounded blocking queue feeding one
-// worker. Blocking push is the dispatch-level backpressure; items are never
-// dropped, so queue timing cannot change results.
-template <typename T>
-class BoundedQueue {
- public:
-  explicit BoundedQueue(std::size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
-
-  void push(T item) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_full_.wait(lock, [&] { return items_.size() < capacity_; });
-    items_.push_back(std::move(item));
-    not_empty_.notify_one();
-  }
-
-  // False when the queue is closed and drained.
-  bool pop(T& item) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return false;
-    item = std::move(items_.front());
-    items_.pop_front();
-    not_full_.notify_one();
-    return true;
-  }
-
-  void close() {
-    std::lock_guard<std::mutex> lock(mu_);
-    closed_ = true;
-    not_empty_.notify_all();
-  }
-
-  // Instantaneous occupancy (telemetry sampling; inherently racy-by-time,
-  // never part of any determinism contract).
-  std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return items_.size();
-  }
-
- private:
-  const std::size_t capacity_;
-  mutable std::mutex mu_;
-  std::condition_variable not_full_;
-  std::condition_variable not_empty_;
-  std::deque<T> items_;
-  bool closed_ = false;
-};
 
 // --- server -----------------------------------------------------------------
 

@@ -32,7 +32,6 @@ FleetResult FleetService::run(SessionRecorder* recorder,
   if (col != nullptr) col->open(shards);
 
   std::vector<std::vector<double>> shard_latencies(shards);
-  std::vector<ShardArena> arenas(shards);
 
   // Shard s owns ids s, s + shards, ... at index id / shards.
   std::vector<std::vector<Session>> sessions(shards);
@@ -48,11 +47,10 @@ FleetResult FleetService::run(SessionRecorder* recorder,
   // has exactly one producer: its shard).
   const auto run_shard = [&](std::size_t shard) {
     telemetry::ShardStream* const tel = col != nullptr ? &col->stream(shard) : nullptr;
-    arenas[shard].set_telemetry(tel);
     std::vector<double>* lat = opts_.measure_latency ? &shard_latencies[shard] : nullptr;
     for (std::size_t tick = 0; tick < total_ticks; ++tick) {
       if (tel != nullptr) tel->set_time(static_cast<double>(tick));
-      for (Session& s : sessions[shard]) s.tick(tick, arenas[shard], recorder, lat, tel);
+      for (Session& s : sessions[shard]) s.tick(tick, recorder, lat, tel);
     }
   };
 
@@ -71,12 +69,6 @@ FleetResult FleetService::run(SessionRecorder* recorder,
   std::vector<SessionMetrics> metrics(n_sessions);
   for (std::size_t id = 0; id < n_sessions; ++id)
     metrics[id] = sessions[id % shards][id / shards].take_metrics();
-
-  arena_stats_ = {};
-  for (const ShardArena& a : arenas) {
-    arena_stats_.leases += a.leases();
-    arena_stats_.reuses += a.reuses();
-  }
 
   FleetResult out = finalize_fleet_result(std::move(metrics));
   out.wall_seconds = wall;

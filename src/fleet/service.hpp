@@ -58,19 +58,9 @@ class FleetService {
   FleetResult run(SessionRecorder* recorder = nullptr,
                   telemetry::Collector* telemetry = nullptr) const;
 
-  // Arena accounting of the last run (summed over shards): how many session
-  // admissions there were, and how many were served by rebinding an evicted
-  // session's warm pipeline instead of allocating a fresh one.
-  struct ArenaStats {
-    std::size_t leases = 0;
-    std::size_t reuses = 0;
-  };
-  const ArenaStats& arena_stats() const { return arena_stats_; }
-
  private:
   FleetOptions opts_;
   std::vector<sim::GroupScenario> workload_;
-  mutable ArenaStats arena_stats_;
 };
 
 // Fold a finished run into the SLO reducer's inputs: per-kind session /

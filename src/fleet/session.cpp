@@ -41,8 +41,8 @@ void SessionMetrics::note_round(const pipeline::RoundOutput& out) {
   if (out.localized) {
     ++localized;
     // Stress is only folded in when this round produced it; on a failed
-    // round the localization buffer may hold a previous tenant's values
-    // (pipelines are arena-reused), which must never leak into the digest.
+    // round the localization buffer may still hold an earlier round's values,
+    // which must never leak into the digest.
     fnv_mix(digest, out.localization.normalized_stress);
   }
   for (const double e : out.error_2d) fnv_mix(digest, e);
@@ -81,37 +81,6 @@ FleetResult finalize_fleet_result(std::vector<SessionMetrics> sessions) {
   }
   out.summary = summarize(out.errors);
   return out;
-}
-
-// --- ShardArena -------------------------------------------------------------
-
-std::unique_ptr<SessionRuntime> ShardArena::lease(const pipeline::PipelineOptions& opts) {
-  ++leases_;
-  if (telemetry_ != nullptr) telemetry_->count(telemetry::Counter::kArenaLeases);
-  const std::size_t n = opts.protocol.num_devices;
-
-  if (n < free_by_size_.size() && !free_by_size_[n].empty()) {
-    std::unique_ptr<SessionRuntime> rt = std::move(free_by_size_[n].back());
-    free_by_size_[n].pop_back();
-    rt->pipe.rebind(opts);
-    ++reuses_;
-    if (telemetry_ != nullptr) {
-      telemetry_->sample(telemetry::Sample::kArenaReuse, 1.0);
-      telemetry_->sample(telemetry::Sample::kArenaFreeHit, double(n));
-    }
-    return rt;
-  }
-
-  if (telemetry_ != nullptr)
-    telemetry_->sample(telemetry::Sample::kArenaFreeMiss, double(n));
-  return std::make_unique<SessionRuntime>(opts);
-}
-
-void ShardArena::release(std::unique_ptr<SessionRuntime> rt) {
-  if (rt == nullptr) return;
-  const std::size_t n = rt->pipe.options().protocol.num_devices;
-  if (n >= free_by_size_.size()) free_by_size_.resize(n + 1);
-  free_by_size_[n].push_back(std::move(rt));
 }
 
 void check_workload(const std::vector<sim::GroupScenario>& workload, const char* owner) {
@@ -229,12 +198,11 @@ SessionConsumer::SessionConsumer(const sim::GroupScenario& scenario,
   metrics_.kind = scenario.kind;
 }
 
-void SessionConsumer::admit(ShardArena& arena, SessionRecorder* recorder,
+void SessionConsumer::admit(SessionRecorder* recorder,
                             telemetry::ShardStream* telemetry) {
-  arena_ = &arena;
   recorder_ = recorder;
   telemetry_ = telemetry;
-  rt_ = arena.lease(pipeline_options_for(*sc_));
+  rt_ = std::make_unique<SessionRuntime>(pipeline_options_for(*sc_));
   rt_->pipe.set_telemetry(telemetry);
   state_ = SessionState::kActive;
   if (recorder_ != nullptr) recorder_->on_admit(*sc_);
@@ -284,7 +252,7 @@ const RoundRecord& SessionConsumer::round(std::uint32_t index, double dt_s,
 
 void SessionConsumer::evict() {
   if (state_ == SessionState::kActive) {
-    arena_->release(std::move(rt_));
+    rt_.reset();
     if (telemetry_ != nullptr) {
       telemetry_->count(telemetry::Counter::kEvicts);
       telemetry_->count(telemetry::Counter::kEvictDevices,
@@ -299,13 +267,12 @@ void SessionConsumer::evict() {
 Session::Session(const sim::GroupScenario& scenario, std::uint64_t master_seed)
     : feed_(scenario, master_seed), consumer_(scenario, master_seed) {}
 
-void Session::tick(std::size_t tick, ShardArena& arena, SessionRecorder* recorder,
-                   std::vector<double>* latencies,
-                   telemetry::ShardStream* telemetry) {
+void Session::tick(std::size_t tick, SessionRecorder* recorder,
+                   std::vector<double>* latencies, telemetry::ShardStream* telemetry) {
   if (consumer_.state() == SessionState::kEvicted) return;
   if (consumer_.state() == SessionState::kPending) {
     if (tick < feed_.scenario().admit_tick) return;
-    consumer_.admit(arena, recorder, telemetry);
+    consumer_.admit(recorder, telemetry);
     feed_.open();
   }
 

@@ -1,6 +1,6 @@
 // One serving session: the full lifecycle (admit -> rounds -> coast ->
-// evict) of a single positioning group inside the fleet, backed by a warm
-// pipeline::RoundPipeline leased from its shard's arena and one of the
+// evict) of a single positioning group inside the fleet, backed by its own
+// pipeline::RoundPipeline (built at admit, dropped at evict) and one of the
 // pipeline front-ends (the calibrated fast closed form for most groups, a
 // full packet-level des::DesSessionSource for the DES slice).
 //
@@ -10,9 +10,8 @@
 //   * the measurement stream (motion-independent sensor/arrival/vote noise
 //     and dropout draws), and
 //   * the solver stream (localizer restarts),
-// so its results never depend on which shard ran it, on the shard count, or
-// on what its arena-shared pipeline computed for a previous tenant. The
-// split is what makes record/replay exact: a replayed session skips the
+// so its results never depend on which shard ran it or on the shard count.
+// The split is what makes record/replay exact: a replayed session skips the
 // measurement stream entirely (measurements come from the trace as bytes)
 // and re-derives only the solver stream.
 #pragma once
@@ -99,47 +98,14 @@ struct FleetResult {
 // Fold per-session metrics into the aggregate (deterministic part only).
 FleetResult finalize_fleet_result(std::vector<SessionMetrics> sessions);
 
-// --- arena ------------------------------------------------------------------
-
-// One leased runtime slot: a pipeline plus the measurement buffer it churns.
+// A session's serving runtime: its pipeline plus the measurement buffer it
+// churns. Built at admit and dropped at evict, so an evicted session holds
+// no solver memory.
 struct SessionRuntime {
   pipeline::RoundPipeline pipe;
   pipeline::RoundMeasurement meas;
 
   explicit SessionRuntime(const pipeline::PipelineOptions& opts) : pipe(opts) {}
-};
-
-// Per-shard free list of SessionRuntimes keyed by group size: an evicted
-// session's pipeline is rebound to the next admitted group of the same size
-// instead of reallocated, so steady-state churn performs near-zero heap
-// allocation inside the solver stack. The arena keeps every released
-// runtime, and a lease takes the most recently released one of the
-// requested size (LIFO). Reuse is result-neutral — a leased pipeline is
-// rebound to the requested options — so FleetResult cannot tell a reused
-// runtime from a fresh one. Single-threaded by construction (one arena per
-// shard, shards never share sessions).
-class ShardArena {
- public:
-  std::unique_ptr<SessionRuntime> lease(const pipeline::PipelineOptions& opts);
-  void release(std::unique_ptr<SessionRuntime> rt);
-
-  std::size_t leases() const { return leases_; }
-  std::size_t reuses() const { return reuses_; }
-
-  // Attach the owning shard's telemetry stream (nullptr = off). lease()
-  // then counts every lease (deterministic: leases == admissions) and
-  // samples free-list hits/misses (run-varying: reuse depends on the
-  // shard's own eviction interleaving, so it stays out of the counters
-  // plane).
-  void set_telemetry(telemetry::ShardStream* stream) { telemetry_ = stream; }
-
- private:
-  // Group sizes are tiny integers; a flat per-size free list beats a map.
-  // Each list is in release order, oldest first.
-  std::vector<std::vector<std::unique_ptr<SessionRuntime>>> free_by_size_;
-  std::size_t leases_ = 0;
-  std::size_t reuses_ = 0;
-  telemetry::ShardStream* telemetry_ = nullptr;
 };
 
 // The pipeline configuration a scenario's sessions run with (shared by the
@@ -202,7 +168,7 @@ class MeasurementFeed {
 enum class SessionState : std::uint8_t { kPending, kActive, kEvicted };
 
 // The serving side of a session, the counterpart of MeasurementFeed: the
-// leased runtime, the solver stream and the metrics behind one
+// runtime, the solver stream and the metrics behind one
 // pending -> active -> evicted state machine. Every serving loop runs rounds
 // through it — FleetService's Session (feed and consumer in one process),
 // the ingest Server's workers (frames off a Transport) and the trace
@@ -217,19 +183,18 @@ class SessionConsumer {
   const SessionMetrics& metrics() const { return metrics_; }
   SessionMetrics take_metrics() { return std::move(metrics_); }
 
-  // Lease a runtime from `arena` and go active. `recorder`, when set,
+  // Build the session's runtime and go active. `recorder`, when set,
   // captures the session's trace; `telemetry`, when set, receives the
   // admit/coast/evict counters and is bound into the pipeline for stage
   // spans (the caller keeps its virtual time current). Both stay bound
   // until evict(). Requires kPending.
-  void admit(ShardArena& arena, SessionRecorder* recorder,
-             telemetry::ShardStream* telemetry);
+  void admit(SessionRecorder* recorder, telemetry::ShardStream* telemetry);
 
   // Coast the tracker through a round without a measurement (device-side
   // dropout or server-side shed). Requires kActive.
   void coast(double dt_s);
 
-  // The leased buffer the next round() runs on: a front-end fills it in
+  // The buffer the next round() runs on: a front-end fills it in
   // place, or decode() fills it from wire bytes. Requires kActive.
   pipeline::RoundMeasurement& measurement() { return rt_->meas; }
   // Decode one wire-encoded measurement into measurement(). A record is only
@@ -243,8 +208,7 @@ class SessionConsumer {
   const RoundRecord& round(std::uint32_t index, double dt_s,
                            std::vector<double>* latencies);
 
-  // End the session from any state; an active one returns its runtime to
-  // the arena.
+  // End the session from any state; an active one drops its runtime.
   void evict();
 
  private:
@@ -254,7 +218,6 @@ class SessionConsumer {
   SessionMetrics metrics_;
   RoundRecord record_;
   std::unique_ptr<SessionRuntime> rt_;
-  ShardArena* arena_ = nullptr;
   SessionRecorder* recorder_ = nullptr;
   telemetry::ShardStream* telemetry_ = nullptr;
 };
@@ -269,14 +232,12 @@ class Session {
 
   SessionMetrics take_metrics() { return consumer_.take_metrics(); }
 
-  // Advance one scheduler tick: admit at the scenario's admit tick (leasing
-  // a runtime from `arena`), then run one round — or coast through a jammed
-  // one — per tick until the scheduled lifetime is exhausted, then evict
-  // (returning the runtime to `arena`). `latencies`, `recorder` and
+  // Advance one scheduler tick: admit at the scenario's admit tick, then
+  // run one round — or coast through a jammed one — per tick until the
+  // scheduled lifetime is exhausted, then evict. `latencies`, `recorder` and
   // `telemetry` are as for SessionConsumer (the caller has already set the
   // stream's virtual time to this tick).
-  void tick(std::size_t tick, ShardArena& arena, SessionRecorder* recorder,
-            std::vector<double>* latencies,
+  void tick(std::size_t tick, SessionRecorder* recorder, std::vector<double>* latencies,
             telemetry::ShardStream* telemetry = nullptr);
 
  private:

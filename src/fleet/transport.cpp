@@ -1,7 +1,6 @@
 #include "fleet/transport.hpp"
 
 #include <cmath>
-#include <utility>
 
 namespace uwp::fleet {
 
@@ -46,51 +45,6 @@ void decode_ingest_frame(std::span<const std::uint8_t> in, IngestFrame& out) {
                      in.begin() + static_cast<std::ptrdiff_t>(r.pos + len));
   r.pos += len;
   if (r.pos != in.size()) throw WireError("ingest frame: trailing bytes");
-}
-
-// --- RingBufferTransport ----------------------------------------------------
-
-RingBufferTransport::RingBufferTransport(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {}
-
-bool RingBufferTransport::send(std::vector<std::uint8_t> frame) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!closed_ && ring_.size() >= capacity_) {
-    ++send_waits_;
-    not_full_.wait(lock, [&] { return closed_ || ring_.size() < capacity_; });
-  }
-  if (closed_) return false;
-  ring_.push_back(std::move(frame));
-  ++frames_sent_;
-  not_empty_.notify_one();
-  return true;
-}
-
-bool RingBufferTransport::recv(std::vector<std::uint8_t>& frame) {
-  std::unique_lock<std::mutex> lock(mu_);
-  not_empty_.wait(lock, [&] { return closed_ || !ring_.empty(); });
-  if (ring_.empty()) return false;  // closed and drained
-  frame = std::move(ring_.front());
-  ring_.pop_front();
-  not_full_.notify_one();
-  return true;
-}
-
-void RingBufferTransport::close() {
-  std::lock_guard<std::mutex> lock(mu_);
-  closed_ = true;
-  not_full_.notify_all();
-  not_empty_.notify_all();
-}
-
-std::size_t RingBufferTransport::frames_sent() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return frames_sent_;
-}
-
-std::size_t RingBufferTransport::send_waits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return send_waits_;
 }
 
 }  // namespace uwp::fleet

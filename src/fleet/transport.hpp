@@ -8,9 +8,10 @@
 // replayable bit for bit.
 //
 // One implementation ships today: RingBufferTransport, a bounded in-process
-// MPMC ring whose blocking send() is the transport-level backpressure (a
-// slow server stalls its producers instead of buffering unboundedly). A
-// socket transport slots in behind the same three-method interface later.
+// MPMC queue (the same BoundedQueue that feeds fleet::Server's workers)
+// whose blocking send() is the transport-level backpressure (a slow server
+// stalls its producers instead of buffering unboundedly). A socket
+// transport slots in behind the same three-method interface later.
 #pragma once
 
 #include <condition_variable>
@@ -18,6 +19,7 @@
 #include <deque>
 #include <mutex>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "fleet/wire.hpp"
@@ -81,32 +83,95 @@ class Transport {
   virtual void close() = 0;
 };
 
-// Bounded in-process ring: mutex + two condvars, capacity fixed at
-// construction. The occupancy counters are wall-clock artifacts for
-// observability only — they are NOT part of any determinism contract.
-class RingBufferTransport final : public Transport {
+// Bounded blocking FIFO: mutex + two condvars, capacity fixed at
+// construction. push() blocks while the queue is full (backpressure, never
+// a drop) and fails fast once the queue is closed; pop() drains what is in
+// flight before reporting end-of-stream. The occupancy counters are
+// wall-clock artifacts for observability only — they are NOT part of any
+// determinism contract.
+template <typename T>
+class BoundedQueue {
  public:
-  explicit RingBufferTransport(std::size_t capacity);
+  explicit BoundedQueue(std::size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
 
-  bool send(std::vector<std::uint8_t> frame) override;
-  bool recv(std::vector<std::uint8_t>& frame) override;
-  void close() override;
+  // Blocking; false once the queue is closed (the item is then dropped).
+  bool push(T item) {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!closed_ && items_.size() >= capacity_) {
+      ++push_waits_;
+      not_full_.wait(lock, [&] { return closed_ || items_.size() < capacity_; });
+    }
+    if (closed_) return false;
+    items_.push_back(std::move(item));
+    ++pushed_;
+    not_empty_.notify_one();
+    return true;
+  }
 
-  std::size_t capacity() const { return capacity_; }
-  // Total frames accepted by send().
-  std::size_t frames_sent() const;
-  // Times a sender found the ring full and had to block (backpressure hits).
-  std::size_t send_waits() const;
+  // Blocking; false when the queue is closed and drained.
+  bool pop(T& item) {
+    std::unique_lock<std::mutex> lock(mu_);
+    not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
+    if (items_.empty()) return false;
+    item = std::move(items_.front());
+    items_.pop_front();
+    not_full_.notify_one();
+    return true;
+  }
+
+  // Idempotent; wakes every blocked pusher and popper.
+  void close() {
+    std::lock_guard<std::mutex> lock(mu_);
+    closed_ = true;
+    not_full_.notify_all();
+    not_empty_.notify_all();
+  }
+
+  // Instantaneous occupancy.
+  std::size_t size() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return items_.size();
+  }
+  // Items accepted by push().
+  std::size_t pushed() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return pushed_;
+  }
+  // Times a pusher found the queue full and had to block.
+  std::size_t push_waits() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return push_waits_;
+  }
 
  private:
   const std::size_t capacity_;
   mutable std::mutex mu_;
   std::condition_variable not_full_;
   std::condition_variable not_empty_;
-  std::deque<std::vector<std::uint8_t>> ring_;
-  std::size_t frames_sent_ = 0;
-  std::size_t send_waits_ = 0;
+  std::deque<T> items_;
+  std::size_t pushed_ = 0;
+  std::size_t push_waits_ = 0;
   bool closed_ = false;
+};
+
+// The in-process Transport: a BoundedQueue of frames.
+class RingBufferTransport final : public Transport {
+ public:
+  explicit RingBufferTransport(std::size_t capacity) : ring_(capacity) {}
+
+  bool send(std::vector<std::uint8_t> frame) override {
+    return ring_.push(std::move(frame));
+  }
+  bool recv(std::vector<std::uint8_t>& frame) override { return ring_.pop(frame); }
+  void close() override { ring_.close(); }
+
+  // Total frames accepted by send().
+  std::size_t frames_sent() const { return ring_.pushed(); }
+  // Times a sender found the ring full and had to block (backpressure hits).
+  std::size_t send_waits() const { return ring_.push_waits(); }
+
+ private:
+  BoundedQueue<std::vector<std::uint8_t>> ring_;
 };
 
 }  // namespace uwp::fleet

@@ -40,17 +40,6 @@ void RoundPipeline::reset() {
   warm_valid_ = false;
 }
 
-void RoundPipeline::rebind(const PipelineOptions& opts) {
-  if (opts.protocol.num_devices < 2)
-    throw std::invalid_argument("RoundPipeline: need >= 2 devices");
-  opts_ = opts;
-  solver_ = proto::RangingSolver(solver_config(opts));
-  codec_ = make_codec_config(opts);
-  localizer_ = core::Localizer(opts.localizer);
-  tracker_ = core::GroupTracker(opts.protocol.num_devices, opts.tracker);
-  warm_valid_ = false;
-}
-
 bool RoundPipeline::tracing() const {
   return trace_id_ != 0 && telemetry_ != nullptr &&
          telemetry_->trace_enabled();
@@ -129,18 +118,20 @@ const RoundOutput& RoundPipeline::run_round(RoundMeasurement& m, uwp::Rng& rng,
   // the tracker, seed SMACOF from the predicted geometry (leader pinned at
   // the origin) instead of cold classical MDS. SMACOF only sees pairwise
   // distances, so the output-frame prediction is a valid seed; ambiguity
-  // resolution re-normalizes the frame afterwards as usual.
+  // resolution re-normalizes the frame afterwards as usual. A non-finite
+  // prediction never seeds a solve.
   bool warm = opts_.track && warm_valid_;
   if (warm) {
     warm_init_.resize(n);
     warm_init_[0] = {0.0, 0.0};
     for (std::size_t i = 1; i < n; ++i) {
       const core::DiverTrack& track = tracker_.track(i);
-      if (!track.initialized()) {
+      const Vec2 p = track.position();
+      if (!track.initialized() || !std::isfinite(p.x) || !std::isfinite(p.y)) {
         warm = false;
         break;
       }
-      warm_init_[i] = track.position();
+      warm_init_[i] = p;
     }
   }
 

@@ -69,15 +69,6 @@ class RoundPipeline {
   // Forget cross-round state (the tracker); solver workspaces stay warm.
   void reset();
 
-  // Rebind this pipeline to a new session's options, keeping the solver
-  // workspaces' storage warm. This is the arena-reuse entry point for the
-  // fleet layer: when one positioning group is evicted, its pipeline slot is
-  // rebound to the next admitted group (usually of the same size, so the
-  // warmed workspace capacity carries over) instead of being reallocated.
-  // Equivalent to *this = RoundPipeline(opts) except for retained capacity;
-  // throws std::invalid_argument like the constructor.
-  void rebind(const PipelineOptions& opts);
-
   // The §2.4 payload quantization table this pipeline applies, exposed so
   // codecs (fleet wire codec, trace tooling) stay in sync with the round
   // chain's on-the-wire resolution.
@@ -85,9 +76,7 @@ class RoundPipeline {
 
   // Attach the owning shard's/worker's telemetry stream (nullptr = off;
   // the default). run_round then emits per-stage span timers plus the
-  // round/localized/solver-iteration counters. The binding survives
-  // rebind() on purpose: an arena-reused pipeline keeps reporting into the
-  // shard that owns it.
+  // round/localized/solver-iteration counters.
   void set_telemetry(telemetry::ShardStream* stream) { telemetry_ = stream; }
 
   // Arm the causal trace for the next round: every stage of that round
@@ -126,7 +115,7 @@ class RoundPipeline {
   RoundOutput out_;
   telemetry::ShardStream* telemetry_ = nullptr;
   // Cross-round warm start: true when the previous event was a localized,
-  // tracked round (cleared on reset/rebind/coast and failed rounds), so the
+  // tracked round (cleared on reset/coast and failed rounds), so the
   // tracker's predicted geometry is a trustworthy SMACOF seed.
   bool warm_valid_ = false;
   std::vector<Vec2> warm_init_;

@@ -16,8 +16,6 @@ const char* to_string(Counter c) {
       return "admits";
     case Counter::kSolverIterations:
       return "solver_iterations";
-    case Counter::kArenaLeases:
-      return "arena_leases";
     case Counter::kIngestAdmitted:
       return "ingest_admitted";
     case Counter::kIngestShed:
@@ -92,12 +90,6 @@ const char* to_string(Sample s) {
   switch (s) {
     case Sample::kQueueDepth:
       return "queue_depth";
-    case Sample::kArenaReuse:
-      return "arena_reuse";
-    case Sample::kArenaFreeHit:
-      return "arena_free_hit";
-    case Sample::kArenaFreeMiss:
-      return "arena_free_miss";
     case Sample::kCount_:
       break;
   }

@@ -12,8 +12,8 @@
 //   * Stage — wall-clock span durations from scoped timers around pipeline
 //     and ingest stages. Wall time is inherently run-varying; spans ride
 //     the lossy ring and feed log-bucket histograms (p50/p99/p999).
-//   * Sample — run-varying scalar observations (live queue depth, arena
-//     free-list reuse) whose values depend on scheduling, not the spec.
+//   * Sample — run-varying scalar observations (live queue depth) whose
+//     values depend on scheduling, not the spec.
 //   * TraceOp — causal round-trace spans. Each traced round carries one
 //     trace id from ingest through the queue and every pipeline stage;
 //     span *structure* (which ops fired, parent links, virtual time) is
@@ -33,14 +33,13 @@ enum class Counter : std::uint8_t {
   kLocalized,          // rounds that produced a localization fix
   kCoasts,             // tracker coasts (dropouts + shed rounds)
   kEvicts,             // session evictions (lifetime end / kBye)
-  kAdmits,             // session admissions (arena lease at admit tick)
+  kAdmits,             // session admissions (runtime built at admit tick)
   kSolverIterations,   // SMACOF iterations across all candidate solves
-  kArenaLeases,        // ShardArena::lease calls (admissions, all shards)
   kIngestAdmitted,     // shaper verdicts: measurement frames dispatched
   kIngestShed,         // shaper verdicts: measurement frames shed to coast
   kIngestDeferred,     // shaper verdicts: individual defer attempts
   kWarmStartHits,      // localize stages seeded from predicted geometry
-  kWarmStartMisses,    // localize stages cold-seeded (admit/rebind/coast gap)
+  kWarmStartMisses,    // localize stages cold-seeded (admit/coast gap)
   kLocalizeFailures,   // rounds whose localize stage produced no fix
   kAdmitDevices,       // devices admitted (group size summed at admit)
   kEvictDevices,       // devices evicted (group size summed at evict)
@@ -69,9 +68,6 @@ const char* to_string(Stage s);
 // Run-varying scalar samples (the "timing" JSON section).
 enum class Sample : std::uint8_t {
   kQueueDepth = 0,   // dispatch-queue occupancy at enqueue time
-  kArenaReuse,       // arena lease satisfied from the free list (1 per hit)
-  kArenaFreeHit,     // free-list hit; value = group size served
-  kArenaFreeMiss,    // free-list miss (cold construction); value = group size
   kCount_,
 };
 inline constexpr std::size_t kSampleCount =

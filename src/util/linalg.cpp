@@ -22,13 +22,6 @@ double off_diagonal_norm(const Matrix& a) {
 
 }  // namespace
 
-EigenResult eigen_symmetric(const Matrix& a, double tol, int max_sweeps) {
-  EigenWorkspace ws;
-  EigenResult out;
-  eigen_symmetric_into(a, out, ws, tol, max_sweeps);
-  return out;
-}
-
 void eigen_symmetric_into(const Matrix& a, EigenResult& out, EigenWorkspace& ws,
                           double tol, int max_sweeps) {
   if (a.rows() != a.cols()) throw std::invalid_argument("eigen_symmetric: not square");

@@ -17,17 +17,12 @@ struct EigenResult {
   Matrix vectors;
 };
 
-// Eigendecomposition of a symmetric matrix via the cyclic Jacobi method.
-// Accurate and simple; fine for the N <= O(100) matrices we deal with.
-// Throws std::invalid_argument if `a` is not square.
-EigenResult eigen_symmetric(const Matrix& a, double tol = 1e-12, int max_sweeps = 64);
-
 // Moore-Penrose pseudoinverse of a symmetric matrix, computed from the
 // eigendecomposition. Eigenvalues with |lambda| <= rank_tol * max|lambda|
 // are treated as zero.
 Matrix pseudo_inverse_symmetric(const Matrix& a, double rank_tol = 1e-10);
 
-// Reusable scratch for the workspace variants below. One workspace serves
+// Reusable scratch for the workspace routines below. One workspace serves
 // any matrix size; buffers grow to the largest problem seen and stay put.
 struct EigenWorkspace {
   Matrix d, v;                     // Jacobi iterates
@@ -36,11 +31,14 @@ struct EigenWorkspace {
   EigenResult eig;  // scratch decomposition for the pseudoinverse
 };
 
-// Workspace variants: bit-identical to the allocating forms above, but all
-// scratch lives in `ws` (and the caller's `out`), so steady-state callers
-// perform no heap allocation.
+// Eigendecomposition of a symmetric matrix via the cyclic Jacobi method.
+// Accurate and simple; fine for the N <= O(100) matrices we deal with.
+// Throws std::invalid_argument if `a` is not square. All scratch lives in
+// `ws` (and the caller's `out`), so steady-state callers perform no heap
+// allocation.
 void eigen_symmetric_into(const Matrix& a, EigenResult& out, EigenWorkspace& ws,
                           double tol = 1e-12, int max_sweeps = 64);
+// Workspace variant of pseudo_inverse_symmetric (bit-identical).
 void pseudo_inverse_symmetric_into(const Matrix& a, Matrix& out, EigenWorkspace& ws,
                                    double rank_tol = 1e-10);
 

@@ -31,7 +31,8 @@ TEST(ShortestPathCompletion, FillsMissingViaHops) {
   Matrix w(3, 3, 0.0);
   w(0, 1) = w(1, 0) = 1.0;
   w(1, 2) = w(2, 1) = 1.0;
-  const Matrix full = shortest_path_completion(d, w);
+  Matrix full;
+  shortest_path_completion_into(full, d, w);
   EXPECT_DOUBLE_EQ(full(0, 2), 7.0);
   EXPECT_DOUBLE_EQ(full(0, 1), 3.0);
   EXPECT_DOUBLE_EQ(full(0, 0), 0.0);
@@ -42,7 +43,8 @@ TEST(ShortestPathCompletion, UnreachableCapsAtMaxObserved) {
   d(0, 1) = d(1, 0) = 5.0;
   Matrix w(3, 3, 0.0);
   w(0, 1) = w(1, 0) = 1.0;  // node 2 disconnected
-  const Matrix full = shortest_path_completion(d, w);
+  Matrix full;
+  shortest_path_completion_into(full, d, w);
   EXPECT_DOUBLE_EQ(full(0, 2), 5.0);
 }
 

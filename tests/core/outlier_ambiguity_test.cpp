@@ -23,12 +23,16 @@ Matrix distance_matrix(const std::vector<Vec2>& pts) {
 // serial result for the caller's own assertions.
 OutlierResult localize_at_both_thread_counts(const Matrix& d, const Matrix& w,
                                              OutlierOptions opts, std::uint64_t seed) {
-  opts.search_threads = 1;
-  uwp::Rng serial_rng(seed);
-  const OutlierResult serial = localize_with_outlier_detection(d, w, opts, serial_rng);
-  opts.search_threads = 4;
-  uwp::Rng fanned_rng(seed);
-  const OutlierResult fanned = localize_with_outlier_detection(d, w, opts, fanned_rng);
+  const auto localize = [&](std::size_t threads) {
+    opts.search_threads = threads;
+    uwp::Rng rng(seed);
+    OutlierWorkspace ws;
+    OutlierResult out;
+    localize_with_outlier_detection_into(out, d, w, opts, rng, ws);
+    return out;
+  };
+  const OutlierResult serial = localize(1);
+  const OutlierResult fanned = localize(4);
   EXPECT_EQ(fanned.positions, serial.positions);
   EXPECT_EQ(fanned.normalized_stress, serial.normalized_stress);
   EXPECT_EQ(fanned.dropped_links, serial.dropped_links);
@@ -121,36 +125,42 @@ TEST(OutlierDetection, MaxOutlierBudgetRespected) {
 }
 
 TEST(Ambiguity, TranslateLeaderToOrigin) {
-  const std::vector<Vec2> pts = {{3, 4}, {5, 6}, {-1, 0}};
-  const auto out = translate_leader_to_origin(pts);
-  EXPECT_DOUBLE_EQ(out[0].x, 0.0);
-  EXPECT_DOUBLE_EQ(out[0].y, 0.0);
-  EXPECT_DOUBLE_EQ(out[1].x, 2.0);
-  EXPECT_DOUBLE_EQ(out[2].y, -4.0);
+  std::vector<Vec2> pts = {{3, 4}, {5, 6}, {-1, 0}};
+  translate_leader_to_origin_inplace(pts);
+  EXPECT_DOUBLE_EQ(pts[0].x, 0.0);
+  EXPECT_DOUBLE_EQ(pts[0].y, 0.0);
+  EXPECT_DOUBLE_EQ(pts[1].x, 2.0);
+  EXPECT_DOUBLE_EQ(pts[2].y, -4.0);
 }
 
 TEST(Ambiguity, RotationPutsNodeOneOnBearing) {
   std::vector<Vec2> pts = {{0, 0}, {5, 5}, {10, 0}};
   const double target = uwp::deg_to_rad(90.0);
-  const auto out = resolve_rotation(pts, target);
-  EXPECT_NEAR(bearing(out[1]), target, 1e-12);
+  resolve_rotation_inplace(pts, target);
+  EXPECT_NEAR(bearing(pts[1]), target, 1e-12);
   // Distances preserved.
-  EXPECT_NEAR(distance(out[0], out[2]), 10.0, 1e-12);
-  EXPECT_NEAR(out[1].norm(), std::sqrt(50.0), 1e-12);
+  EXPECT_NEAR(distance(pts[0], pts[2]), 10.0, 1e-12);
+  EXPECT_NEAR(pts[1].norm(), std::sqrt(50.0), 1e-12);
 }
 
 TEST(Ambiguity, RotationRequiresLeaderAtOrigin) {
   std::vector<Vec2> pts = {{1, 1}, {5, 5}};
-  EXPECT_THROW(resolve_rotation(pts, 0.0), std::invalid_argument);
+  EXPECT_THROW(resolve_rotation_inplace(pts, 0.0), std::invalid_argument);
+}
+
+std::vector<Vec2> flipped(const std::vector<Vec2>& pts) {
+  std::vector<Vec2> out;
+  flip_configuration_into(out, pts);
+  return out;
 }
 
 TEST(Ambiguity, FlipConfigurationMirrorsAcrossLeaderLine) {
   const std::vector<Vec2> pts = {{0, 0}, {10, 0}, {5, 3}, {2, -4}};
-  const auto flipped = flip_configuration(pts);
-  EXPECT_NEAR(flipped[0].x, 0.0, 1e-12);
-  EXPECT_NEAR(flipped[1].x, 10.0, 1e-12);  // axis nodes fixed
-  EXPECT_NEAR(flipped[2].y, -3.0, 1e-12);
-  EXPECT_NEAR(flipped[3].y, 4.0, 1e-12);
+  const std::vector<Vec2> mirror = flipped(pts);
+  EXPECT_NEAR(mirror[0].x, 0.0, 1e-12);
+  EXPECT_NEAR(mirror[1].x, 10.0, 1e-12);  // axis nodes fixed
+  EXPECT_NEAR(mirror[2].y, -3.0, 1e-12);
+  EXPECT_NEAR(mirror[3].y, 4.0, 1e-12);
 }
 
 TEST(Ambiguity, VoteScoreCountsConsistentSides) {
@@ -159,18 +169,20 @@ TEST(Ambiguity, VoteScoreCountsConsistentSides) {
   const std::vector<MicVote> votes = {{2, 1}, {3, -1}};
   EXPECT_DOUBLE_EQ(flip_vote_score(pts, votes), 2.0);
   // Mirrored configuration scores -2.
-  EXPECT_DOUBLE_EQ(flip_vote_score(flip_configuration(pts), votes), -2.0);
+  EXPECT_DOUBLE_EQ(flip_vote_score(flipped(pts), votes), -2.0);
 }
 
-TEST(Ambiguity, ResolveFlipPicksHigherScore) {
+TEST(Ambiguity, VotesFlipAMirroredConfigurationBack) {
   const std::vector<Vec2> truth = {{0, 0}, {10, 0}, {5, 3}, {2, -4}};
   const std::vector<MicVote> votes = {{2, 1}, {3, -1}};
-  // Feed the mirrored configuration; the votes must flip it back.
-  const FlipDecision d = resolve_flip(flip_configuration(truth), votes);
-  EXPECT_TRUE(d.flipped);
+  // Feed the mirrored configuration; the votes must prefer its mirror,
+  // which is the truth again.
+  const std::vector<Vec2> mirrored = flipped(truth);
+  const std::vector<Vec2> back = flipped(mirrored);
+  EXPECT_GT(flip_vote_score(back, votes), flip_vote_score(mirrored, votes));
   for (std::size_t i = 0; i < truth.size(); ++i) {
-    EXPECT_NEAR(d.positions[i].x, truth[i].x, 1e-9);
-    EXPECT_NEAR(d.positions[i].y, truth[i].y, 1e-9);
+    EXPECT_NEAR(back[i].x, truth[i].x, 1e-9);
+    EXPECT_NEAR(back[i].y, truth[i].y, 1e-9);
   }
 }
 
@@ -178,16 +190,14 @@ TEST(Ambiguity, MajorityVoteOverridesMinorityError) {
   const std::vector<Vec2> pts = {{0, 0}, {10, 0}, {5, 3}, {2, -4}, {7, 6}};
   // Node 3's vote is wrong (says left, actually right); majority correct.
   const std::vector<MicVote> votes = {{2, 1}, {3, 1}, {4, 1}};
-  const FlipDecision d = resolve_flip(pts, votes);
-  EXPECT_FALSE(d.flipped);
+  EXPECT_GT(flip_vote_score(pts, votes), flip_vote_score(flipped(pts), votes));
 }
 
-TEST(Ambiguity, TieKeepsOriginal) {
+TEST(Ambiguity, TieScoresEqually) {
+  // One vote right, one wrong: the localizer keeps the original on a tie.
   const std::vector<Vec2> pts = {{0, 0}, {10, 0}, {5, 3}, {2, -4}};
-  const std::vector<MicVote> votes = {{2, 1}, {3, 1}};  // one right, one wrong
-  const FlipDecision d = resolve_flip(pts, votes);
-  EXPECT_FALSE(d.flipped);
-  EXPECT_DOUBLE_EQ(d.score_original, d.score_flipped);
+  const std::vector<MicVote> votes = {{2, 1}, {3, 1}};
+  EXPECT_DOUBLE_EQ(flip_vote_score(pts, votes), flip_vote_score(flipped(pts), votes));
 }
 
 TEST(Ambiguity, VotesOnAxisNodesIgnored) {

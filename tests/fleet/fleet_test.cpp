@@ -90,7 +90,7 @@ TEST(FleetService, ThousandSessionMixedFleetBitIdenticalAcrossShards) {
   }
 }
 
-TEST(FleetService, LifecycleRunsEverySessionToEvictionAndReusesArenas) {
+TEST(FleetService, LifecycleRunsEverySessionToEviction) {
   const sim::WorkloadParams params = small_params(200, 0xCC02u);
   std::vector<sim::GroupScenario> workload = sim::make_workload(params);
 
@@ -98,17 +98,28 @@ TEST(FleetService, LifecycleRunsEverySessionToEvictionAndReusesArenas) {
   fo.master_seed = 3;
   fo.shards = 1;
   FleetService service(fo, workload);
-  const FleetResult r = service.run();
+  telemetry::TelemetryOptions topts;
+  topts.enabled = true;
+  topts.timing = false;
+  telemetry::Collector col(topts);
+  const FleetResult r = service.run(nullptr, &col);
+  const telemetry::TelemetryReport report = col.report();
+  const auto total = [&](telemetry::Counter c) {
+    return report.totals[static_cast<std::size_t>(c)];
+  };
 
-  // Every session was admitted exactly once and ran its whole scheduled
-  // lifetime (rounds + coasted rounds).
-  EXPECT_EQ(service.arena_stats().leases, workload.size());
+  // Every session was admitted exactly once, evicted exactly once, and ran
+  // its whole scheduled lifetime (rounds + coasted rounds).
+  std::uint64_t devices = 0;
+  for (const sim::GroupScenario& sc : workload) devices += sc.scene.protocol.num_devices;
+  EXPECT_EQ(total(telemetry::Counter::kAdmits), workload.size());
+  EXPECT_EQ(total(telemetry::Counter::kEvicts), workload.size());
+  EXPECT_EQ(total(telemetry::Counter::kAdmitDevices), devices);
+  EXPECT_EQ(total(telemetry::Counter::kEvictDevices), devices);
   for (std::size_t i = 0; i < workload.size(); ++i)
     EXPECT_EQ(r.sessions[i].rounds + r.sessions[i].coasts,
               workload[i].lifetime_rounds)
         << "session " << i;
-  // Group sizes repeat across the fleet, so evicted pipelines get rebound.
-  EXPECT_GT(service.arena_stats().reuses, 0u);
   EXPECT_GT(r.localized, r.rounds / 2);  // the service actually localizes
 }
 
@@ -206,11 +217,10 @@ TEST(FleetRecordReplay, ReplayReproducesPerSessionMetricsBitForBit) {
   // ...and the whole fleet aggregate is bit-identical to the live run.
   expect_bit_identical(live, replay.fleet);
 
-  // The rebuilt counter plane (admits, leases, coasts, evicts, page for
-  // page) equals the live one at 3 shards and, like the trace, at 1.
+  // The rebuilt counter plane (admits, coasts, evicts, page for page)
+  // equals the live one at 3 shards and, like the trace, at 1.
   const telemetry::TelemetryReport replayed = replay_col.report();
-  EXPECT_GT(replayed.totals[static_cast<std::size_t>(telemetry::Counter::kArenaLeases)],
-            0u);
+  EXPECT_GT(replayed.totals[static_cast<std::size_t>(telemetry::Counter::kAdmits)], 0u);
   EXPECT_TRUE(live_col.report().counters_equal(replayed));
   fo.shards = 1;
   telemetry::Collector serial_col(tel);

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <thread>
@@ -348,6 +350,75 @@ TEST(FleetServer, ScheduleVerifierCatchesTampering) {
   EXPECT_GT(verify_ingest_schedule(res.schedule, other, workload.size()), 0u);
 }
 
+// A finite but absurd dt_s passes the frame codec and reaches the tracker.
+// It must restart the session's track, not poison it: every localized round
+// keeps finite errors, and every round's SMACOF work stays at the level of
+// the same round served clean.
+TEST(FleetServer, HugeDtFrameDoesNotPoisonTheSession) {
+  sim::WorkloadParams params = small_params(1, 0x1E200u);
+  params.min_group_size = params.max_group_size = 7;
+  params.min_rounds = params.max_rounds = 8;
+  params.admit_spread_ticks = 0;
+  params.include_des = false;
+  params.force_kind = static_cast<int>(sim::GroupScenarioKind::kStatic);
+  const std::vector<sim::GroupScenario> workload = sim::make_workload(params);
+  const ServerOptions opts;
+
+  // Every frame the feeder sends, in order.
+  RingBufferTransport capture(1024);
+  feed_workload(capture, workload, opts.master_seed);
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (std::vector<std::uint8_t> bytes; capture.recv(bytes);) frames.push_back(bytes);
+
+  const auto serve_frames = [&](const std::vector<std::vector<std::uint8_t>>& in,
+                                FleetResult& fleet) {
+    RingBufferTransport transport(in.size());
+    for (const std::vector<std::uint8_t>& bytes : in) EXPECT_TRUE(transport.send(bytes));
+    transport.close();
+    telemetry::TelemetryOptions topts;
+    topts.enabled = true;
+    topts.timing = false;
+    topts.window = 1.0;  // one window per round: the feeder ticks at 1 s
+    telemetry::Collector col(topts);
+    fleet = Server(opts, workload).serve(transport, nullptr, &col).fleet;
+    return col.report();
+  };
+
+  std::vector<std::vector<std::uint8_t>> hostile = frames;
+  bool tampered = false;
+  for (std::vector<std::uint8_t>& bytes : hostile) {
+    IngestFrame f;
+    decode_ingest_frame(bytes, f);
+    if (f.kind != IngestKind::kMeasurement || f.round != 3) continue;
+    f.dt_s = 1e200;
+    encode_ingest_frame(f, bytes);
+    tampered = true;
+  }
+  ASSERT_TRUE(tampered);
+
+  FleetResult clean_fleet, hostile_fleet;
+  const telemetry::TelemetryReport clean = serve_frames(frames, clean_fleet);
+  const telemetry::TelemetryReport poisoned = serve_frames(hostile, hostile_fleet);
+
+  const std::size_t n = workload[0].scene.protocol.num_devices;
+  const SessionMetrics& s = hostile_fleet.sessions[0];
+  EXPECT_EQ(s.rounds, params.max_rounds);
+  EXPECT_EQ(s.localized, s.rounds);
+  // SessionMetrics keeps only finite errors: n - 1 per localized round.
+  EXPECT_EQ(s.errors.size(), s.localized * (n - 1));
+
+  const auto iterations = [](const telemetry::TelemetryReport& r, std::size_t w) {
+    return r.snapshots[w].counts[static_cast<std::size_t>(
+        telemetry::Counter::kSolverIterations)];
+  };
+  ASSERT_EQ(poisoned.snapshots.size(), clean.snapshots.size());
+  ASSERT_GE(clean.snapshots.size(), params.max_rounds);
+  const std::uint64_t cold = iterations(clean, 0);  // round 0 seeds cold
+  for (std::size_t w = 0; w < clean.snapshots.size(); ++w)
+    EXPECT_LE(iterations(poisoned, w), 2 * std::max(iterations(clean, w), cold))
+        << "round " << w;
+}
+
 TEST(FleetServer, RejectsUnknownSessionIdAndMalformedFrames) {
   const std::vector<sim::GroupScenario> workload =
       sim::make_workload(small_params(4, 0x21u));
@@ -433,7 +504,7 @@ TEST(FleetServer, RejectsUnknownSessionIdAndMalformedFrames) {
     }
   }
   // kBye ends a session in every state: any later frame for that id fails
-  // the serve instead of re-leasing a runtime (which would wipe the
+  // the serve instead of rebuilding a runtime (which would wipe the
   // session's recorded trace while its metrics kept accumulating).
   const std::vector<std::vector<IngestKind>> after_bye = {
       {IngestKind::kCoast, IngestKind::kBye, IngestKind::kCoast},

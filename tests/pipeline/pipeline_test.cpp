@@ -1,9 +1,10 @@
 // Behavior tests for the pipeline layer: the MeasurementModel front-ends,
-// RoundPipeline's chain, the batched entry point, and the shared
-// ArrivalErrorModel.
+// RoundPipeline's chain, and the shared ArrivalErrorModel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 
 #include "pipeline/arrival_error.hpp"
@@ -153,6 +154,47 @@ TEST(RoundPipeline, TrackingFusesRoundsAndCoasts) {
 
   pipe.reset();
   EXPECT_FALSE(pipe.tracker().track(2).initialized());
+}
+
+// A finite but absurd dt (1e200 s) overflows the tracker's motion model.
+// The track must restart instead of gating and warm-starting from inf/NaN:
+// every localized round keeps finite errors and stress, and later rounds
+// cost what the same rounds cost in a clean session.
+TEST(RoundPipeline, HugeDtResetsTheTrackInsteadOfPoisoningIt) {
+  const ClosedFormScene scene = test_scene(7);
+  ArrivalErrorModel arrival;
+  arrival.detection_failure_prob = 0.0;
+  PipelineOptions opts = test_options(scene);
+  opts.track = true;
+  constexpr int kRounds = 8;
+  constexpr int kHostile = 3;
+
+  const auto run = [&](double hostile_dt, std::vector<std::int64_t>& iterations) {
+    FastMeasurementModel model(scene, arrival);
+    RoundPipeline pipe(opts);
+    RoundMeasurement m;
+    Rng meas_rng(41), solve_rng(43);
+    for (int r = 0; r < kRounds; ++r) {
+      model.measure(m, meas_rng);
+      const double dt = r == 0 ? 0.0 : (r == kHostile ? hostile_dt : 5.0);
+      const RoundOutput& out = pipe.run_round(m, solve_rng, dt);
+      ASSERT_TRUE(out.localized) << "round " << r;
+      EXPECT_TRUE(std::isfinite(out.localization.normalized_stress)) << "round " << r;
+      for (std::size_t i = 0; i < scene.protocol.num_devices; ++i) {
+        EXPECT_TRUE(std::isfinite(out.error_2d[i])) << "round " << r << " device " << i;
+        EXPECT_TRUE(std::isfinite(out.tracked_error_2d[i]) || i == 0)
+            << "round " << r << " device " << i;
+      }
+      iterations.push_back(out.localization.solver_iterations);
+    }
+  };
+  std::vector<std::int64_t> clean, hostile;
+  run(5.0, clean);
+  run(1e200, hostile);
+  ASSERT_EQ(hostile.size(), clean.size());
+  const std::int64_t cold = clean[0];  // round 0 seeds from cold classical MDS
+  for (int r = 0; r < kRounds; ++r)
+    EXPECT_LE(hostile[r], std::max(clean[r], cold) * 2) << "round " << r;
 }
 
 // The waveform front-end and the one-shot ScenarioRunner wrapper agree

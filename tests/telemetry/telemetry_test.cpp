@@ -309,7 +309,7 @@ TEST(CounterPlane, UnshapedServeMatchesFleetSharedCounters) {
   // two drivers share must agree; only the ingest verdicts are serve-only.
   for (const Counter c :
        {Counter::kRounds, Counter::kLocalized, Counter::kCoasts, Counter::kEvicts,
-        Counter::kAdmits, Counter::kSolverIterations, Counter::kArenaLeases}) {
+        Counter::kAdmits, Counter::kSolverIterations}) {
     const std::size_t i = static_cast<std::size_t>(c);
     EXPECT_EQ(served.totals[i], fleet.totals[i]) << to_string(c);
   }

@@ -16,6 +16,13 @@ Matrix random_symmetric(std::size_t n, Rng& rng) {
   return a;
 }
 
+EigenResult eigen_symmetric(const Matrix& a) {
+  EigenWorkspace ws;
+  EigenResult e;
+  eigen_symmetric_into(a, e, ws);
+  return e;
+}
+
 TEST(EigenSymmetric, DiagonalMatrix) {
   Matrix a{{3, 0}, {0, -1}};
   const EigenResult e = eigen_symmetric(a);
