@@ -127,9 +127,10 @@ int main(int argc, char** argv) {
     const uwp::sim::RateLatency rl =
         uwp::sim::rate_latency(r.rounds, r.wall_seconds, r.round_latency_s);
 
-    // The same run with the full telemetry plane attached (counters + span
-    // timers + ring). items_per_second(run_telemetry) / items_per_second(run)
-    // is the instrumentation overhead CI pins.
+    // The same run with the full telemetry plane attached (counters, span
+    // timers into per-stream histograms, flight ring).
+    // items_per_second(run_telemetry) / items_per_second(run) is the
+    // instrumentation overhead CI pins.
     uwp::telemetry::TelemetryOptions topts;
     topts.enabled = true;
     uwp::telemetry::Collector collector(topts);

@@ -171,7 +171,6 @@ telemetry::TelemetryOptions make_telemetry_options(const ScenarioSpec& spec) {
   telemetry::TelemetryOptions opts;
   opts.enabled = spec.telemetry.enabled;
   opts.timing = spec.telemetry.timing;
-  opts.ring_capacity = spec.telemetry.ring_capacity;
   // Counter windows are specified in scheduler ticks. The fleet service
   // stamps virtual time in tick units; the serve path stamps frame t_s,
   // which advances tick_period_s per tick — scale so both modes window the

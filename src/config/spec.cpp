@@ -263,7 +263,6 @@ void fields(F& f, TelemetrySpec& t) {
   f("enabled", t.enabled);
   f("timing", t.timing);
   f("window_ticks", t.window_ticks);
-  f("ring_capacity", t.ring_capacity);
   f("trace", t.trace);
   f("flight", t.flight);
 }
@@ -713,11 +712,6 @@ std::vector<std::string> validate(const ScenarioSpec& spec) {
 
   // telemetry
   if (spec.telemetry.window_ticks < 1) err("telemetry.window_ticks", "must be >= 1");
-  // The ring rounds up to a power of two; cap it where "capacity" stops
-  // being a buffer and starts being a typo'd byte count.
-  if (spec.telemetry.ring_capacity < 1 ||
-      spec.telemetry.ring_capacity > (std::size_t{1} << 24))
-    err("telemetry.ring_capacity", "must be in [1, 16777216]");
   if (spec.telemetry.trace.max_spans < 1 ||
       spec.telemetry.trace.max_spans > (std::size_t{1} << 26))
     err("telemetry.trace.max_spans", "must be in [1, 67108864]");

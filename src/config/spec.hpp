@@ -129,7 +129,7 @@ struct FleetSpec {
 // a run attaches to its shard/worker loops. Counters are windowed on the
 // workload's virtual clock, so the emitted "counters" section is
 // bit-identical at any shard/worker/thread count; spans and queue-depth
-// samples ride the lossy ring and land in the run-varying "timing" section
+// samples land, every one counted, in the run-varying "timing" section
 // (src/telemetry/README.md spells out the contract).
 struct TelemetrySpec {
   bool enabled = false;
@@ -140,9 +140,6 @@ struct TelemetrySpec {
   // fleet.server.tick_period_s so both modes window the same virtual
   // timeline (make_telemetry_options).
   std::size_t window_ticks = 16;
-  // Per-stream event ring capacity (rounded up to a power of two). Overflow
-  // drops events — counted, never blocking the hot path.
-  std::size_t ring_capacity = 1 << 15;
   // Causal round traces (telemetry.trace{}): per-round spans chaining
   // ingest -> queue -> pipeline stages, exported as Chrome
   // trace-event JSON by `uwp_run --trace-spans-out` (which force-enables
@@ -154,7 +151,7 @@ struct TelemetrySpec {
   };
   TraceSpec trace{};
   // Flight recorder (telemetry.flight{}): bounded per-stream ring of
-  // recently drained events, dumped on anomaly triggers. Thresholds are
+  // recent events, dumped on anomaly triggers. Thresholds are
   // counter deltas per telemetry window.
   telemetry::FlightOptions flight{};
 };

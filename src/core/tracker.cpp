@@ -3,10 +3,29 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "util/linalg.hpp"
 
 namespace uwp::core {
+
+namespace {
+
+// Scratch for predict/update, one per thread rather than per track: a warm
+// track allocates nothing, and the thousands of tracks a serving shard
+// holds carry no buffers beyond their own state.
+struct Scratch {
+  Matrix f, q, s, s_inv, pht, k, innovation, left, prod, col, lu;
+  std::vector<double> x;
+  std::vector<std::size_t> perm;
+};
+
+Scratch& scratch() {
+  thread_local Scratch ws;
+  return ws;
+}
+
+}  // namespace
 
 DiverTrack::DiverTrack(TrackerConfig cfg)
     : cfg_(cfg), state_(4, 1), cov_(Matrix::identity(4) * 1e4) {}
@@ -16,7 +35,10 @@ void DiverTrack::predict(double dt_s) {
   // Velocity decay keeps coasting bounded when rounds stop arriving.
   const double decay = std::exp(-dt_s / cfg_.velocity_decay_tau_s);
 
-  Matrix f = Matrix::identity(4);
+  Scratch& ws = scratch();
+  Matrix& f = ws.f;
+  f.assign(4, 4);
+  f(0, 0) = f(1, 1) = 1.0;
   f(0, 2) = dt_s;
   f(1, 3) = dt_s;
   f(2, 2) = decay;
@@ -27,13 +49,21 @@ void DiverTrack::predict(double dt_s) {
   const double dt2 = dt_s * dt_s;
   const double dt3 = dt2 * dt_s / 2.0;
   const double dt4 = dt2 * dt2 / 4.0;
-  Matrix qm(4, 4);
+  Matrix& qm = ws.q;
+  qm.assign(4, 4);
   qm(0, 0) = qm(1, 1) = q * dt4;
   qm(0, 2) = qm(2, 0) = qm(1, 3) = qm(3, 1) = q * dt3;
   qm(2, 2) = qm(3, 3) = q * dt2;
 
-  state_ = f * state_;
-  cov_ = f * cov_ * f.transposed() + qm;
+  // x = F x;  P = F P F^T + Q.
+  multiply_into(ws.col, f, state_);
+  state_ = ws.col;
+  multiply_into(ws.left, f, cov_);
+  for (std::size_t r = 0; r < 4; ++r)  // F becomes F^T in place
+    for (std::size_t c = r + 1; c < 4; ++c) std::swap(f(r, c), f(c, r));
+  multiply_into(ws.prod, ws.left, f);
+  ws.prod += qm;
+  cov_ = ws.prod;
 
   // A horizon long enough to overflow the model (a hostile or corrupt dt)
   // leaves nothing worth tracking: start over from the next measurement
@@ -64,37 +94,51 @@ bool DiverTrack::update(Vec2 measured, double sigma_m) {
   // Innovation and gating (H = [I2 0]).
   const double ix = measured.x - state_(0, 0);
   const double iy = measured.y - state_(1, 0);
-  Matrix s(2, 2);
+  Scratch& ws = scratch();
+  Matrix& s = ws.s;
+  s.assign(2, 2);
   s(0, 0) = cov_(0, 0) + r;
   s(0, 1) = cov_(0, 1);
   s(1, 0) = cov_(1, 0);
   s(1, 1) = cov_(1, 1) + r;
   // Mahalanobis distance of the innovation.
-  const std::vector<double> solved = solve(s, std::vector<double>{ix, iy});
-  const double maha2 = ix * solved[0] + iy * solved[1];
+  const double innov[2] = {ix, iy};
+  solve_into(s, innov, ws.x, ws.lu, ws.perm);
+  const double maha2 = ix * ws.x[0] + iy * ws.x[1];
   if (maha2 > cfg_.gate_sigmas * cfg_.gate_sigmas) return false;
 
-  // Kalman gain K = P H^T S^-1 (4x2).
-  const Matrix s_inv = inverse(s);
-  Matrix pht(4, 2);
-  for (std::size_t row = 0; row < 4; ++row) {
-    pht(row, 0) = cov_(row, 0);
-    pht(row, 1) = cov_(row, 1);
+  // Kalman gain K = P H^T S^-1 (4x2); S^-1 column by column, as inverse().
+  ws.s_inv.assign(2, 2);
+  const double unit[2][2] = {{1.0, 0.0}, {0.0, 1.0}};
+  for (std::size_t c = 0; c < 2; ++c) {
+    solve_into(s, unit[c], ws.x, ws.lu, ws.perm);
+    ws.s_inv(0, c) = ws.x[0];
+    ws.s_inv(1, c) = ws.x[1];
   }
-  const Matrix k = pht * s_inv;
+  ws.pht.assign(4, 2);
+  for (std::size_t row = 0; row < 4; ++row) {
+    ws.pht(row, 0) = cov_(row, 0);
+    ws.pht(row, 1) = cov_(row, 1);
+  }
+  multiply_into(ws.k, ws.pht, ws.s_inv);
+  const Matrix& k = ws.k;
 
-  Matrix innovation(2, 1);
-  innovation(0, 0) = ix;
-  innovation(1, 0) = iy;
-  state_ += k * innovation;
+  ws.innovation.assign(2, 1);
+  ws.innovation(0, 0) = ix;
+  ws.innovation(1, 0) = iy;
+  multiply_into(ws.col, k, ws.innovation);
+  state_ += ws.col;
 
   // Joseph-free covariance update: P = (I - K H) P.
-  Matrix kh(4, 4);
+  Matrix& ikh = ws.left;
+  ikh.assign(4, 4);
   for (std::size_t row = 0; row < 4; ++row) {
-    kh(row, 0) = k(row, 0);
-    kh(row, 1) = k(row, 1);
+    ikh(row, row) = 1.0;
+    ikh(row, 0) -= k(row, 0);
+    ikh(row, 1) -= k(row, 1);
   }
-  cov_ = (Matrix::identity(4) - kh) * cov_;
+  multiply_into(ws.prod, ikh, cov_);
+  cov_ = ws.prod;
   return true;
 }
 

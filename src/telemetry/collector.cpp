@@ -13,8 +13,6 @@ const char* to_string(FlightTrigger t) {
       return "shed_burst";
     case FlightTrigger::kSolverStall:
       return "solver_stall";
-    case FlightTrigger::kRingOverflow:
-      return "ring_overflow";
     case FlightTrigger::kCount_:
       break;
   }
@@ -33,13 +31,15 @@ bool TelemetryReport::counters_equal(const TelemetryReport& o) const {
 
 ShardStream::ShardStream(const TelemetryOptions& opts, std::size_t index,
                          Clock::time_point epoch)
-    : window_(opts.window > 0.0 ? opts.window : 1.0),
+    : flight_(opts.flight),
+      window_(opts.window > 0.0 ? opts.window : 1.0),
       timing_(opts.timing),
       trace_(opts.trace),
       index_(index),
       trace_max_(opts.trace_max_spans),
-      epoch_(epoch),
-      bus_(opts.ring_capacity) {}
+      epoch_(epoch) {
+  last_dump_window_.fill(~0ull);
+}
 
 void ShardStream::set_time(double t) {
   time_ = t;
@@ -50,19 +50,64 @@ void ShardStream::set_time(double t) {
 void ShardStream::count(Counter c, std::uint64_t delta) {
   if (window_index_ >= pages_.size()) pages_.resize(window_index_ + 1);
   pages_[window_index_][static_cast<std::size_t>(c)] += delta;
-  // Best-effort live copy on the ring; determinism comes from the page.
-  bus_.try_push(Event{EventKind::kCounter, static_cast<std::uint8_t>(c), time_,
-                      double(delta)});
+  if (flight_.capacity == 0) return;
+  const Event e{EventKind::kCounter, static_cast<std::uint8_t>(c), time_, double(delta)};
+  flight_observe(e);
+  // Windowed trigger counts, keyed by the counter page's window.
+  if (window_index_ != trigger_window_) {
+    trigger_window_ = window_index_;
+    trigger_counts_.fill(0);
+  }
+  const auto trip = [&](FlightTrigger trig, std::uint64_t threshold) {
+    std::uint64_t& n = trigger_counts_[static_cast<std::size_t>(trig)];
+    n += delta;
+    if (n >= threshold) flight_dump(trig);
+  };
+  if (c == Counter::kEvicts) {
+    trip(FlightTrigger::kEvictStorm, flight_.evict_storm);
+  } else if (c == Counter::kIngestShed) {
+    trip(FlightTrigger::kShedBurst, flight_.shed_burst);
+  } else if (c == Counter::kLocalizeFailures) {
+    trip(FlightTrigger::kSolverStall, flight_.localize_failures);
+  }
 }
 
 void ShardStream::sample(Sample s, double value) {
-  bus_.try_push(
-      Event{EventKind::kSample, static_cast<std::uint8_t>(s), time_, value});
+  samples_[static_cast<std::size_t>(s)].record(value);
+  if (flight_.capacity != 0)
+    flight_observe(Event{EventKind::kSample, static_cast<std::uint8_t>(s), time_, value});
 }
 
 void ShardStream::span(Stage s, double seconds) {
-  bus_.try_push(
-      Event{EventKind::kSpan, static_cast<std::uint8_t>(s), time_, seconds});
+  spans_[static_cast<std::size_t>(s)].record(seconds);
+  if (flight_.capacity != 0)
+    flight_observe(Event{EventKind::kSpan, static_cast<std::uint8_t>(s), time_, seconds});
+}
+
+void ShardStream::flight_observe(const Event& e) {
+  // Append until full, then overwrite the oldest slot.
+  if (ring_.size() < flight_.capacity) {
+    ring_.push_back(e);
+    return;
+  }
+  ring_[ring_next_] = e;
+  if (++ring_next_ == ring_.size()) ring_next_ = 0;
+}
+
+void ShardStream::flight_dump(FlightTrigger trig) {
+  const std::size_t ti = static_cast<std::size_t>(trig);
+  if (dumps_.size() >= flight_.max_dumps) return;
+  if (last_dump_window_[ti] == window_index_) return;  // once per window
+  last_dump_window_[ti] = window_index_;
+  FlightDump d;
+  d.stream = index_;
+  d.trigger = trig;
+  d.t = time_;
+  d.window = window_index_;
+  d.events.reserve(ring_.size());
+  d.events.insert(d.events.end(), ring_.begin() + ring_next_, ring_.end());
+  d.events.insert(d.events.end(), ring_.begin(), ring_.begin() + ring_next_);
+  dumps_.push_back(std::move(d));
 }
 
 double ShardStream::trace_now() const {
@@ -82,140 +127,20 @@ void ShardStream::trace_span(std::uint64_t trace_id, TraceOp op,
   trace_spans_.push_back(TraceSpan{trace_id, op, parent,
                                    static_cast<std::uint16_t>(index_), time_,
                                    ts0_s, dur});
-  // Live mirror for tailers and the flight recorder; the producer-local
-  // vector above is the authoritative structural record.
-  bus_.try_push(Event{EventKind::kTraceSpan, static_cast<std::uint8_t>(op),
-                      time_, dur, trace_id});
 }
 
 Collector::Collector(const TelemetryOptions& opts)
-    : opts_(opts), epoch_(std::chrono::steady_clock::now()) {
-  // Depth samples are small integers; spans are seconds. One geometry (1 ns
-  // to ~3e5) covers both, which keeps merge() trivial.
-}
+    : opts_(opts), epoch_(std::chrono::steady_clock::now()) {}
 
 void Collector::open(std::size_t n) {
-  const std::lock_guard<std::mutex> lock(mu_);
   streams_.clear();
   streams_.reserve(n);
   epoch_ = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < n; ++i)
     streams_.push_back(std::make_unique<ShardStream>(opts_, i, epoch_));
-  flight_.assign(n, FlightRing());
-  dumps_.clear();
-  for (Histogram& h : spans_) h = Histogram();
-  for (Histogram& h : samples_) h = Histogram();
-  events_ = 0;
 }
 
-void Collector::flight_dump(std::size_t stream, FlightRing& fr,
-                            FlightTrigger trig, double t,
-                            std::uint64_t window) {
-  const std::size_t ti = static_cast<std::size_t>(trig);
-  if (fr.dumps >= opts_.flight.max_dumps) return;
-  if (fr.last_dump_window[ti] == window) return;  // once per window/trigger
-  fr.last_dump_window[ti] = window;
-  ++fr.dumps;
-  FlightDump d;
-  d.stream = stream;
-  d.trigger = trig;
-  d.t = t;
-  d.window = window;
-  if (fr.full) {
-    d.events.insert(d.events.end(), fr.ring.begin() + fr.next, fr.ring.end());
-    d.events.insert(d.events.end(), fr.ring.begin(),
-                    fr.ring.begin() + fr.next);
-  } else {
-    d.events.insert(d.events.end(), fr.ring.begin(), fr.ring.end());
-  }
-  dumps_.push_back(std::move(d));
-}
-
-void Collector::flight_observe(std::size_t stream, FlightRing& fr,
-                               const Event& e) {
-  // Retain the event (append until full, then overwrite the oldest slot).
-  if (fr.ring.size() < opts_.flight.capacity) {
-    fr.ring.push_back(e);
-  } else {
-    fr.ring[fr.next] = e;
-    fr.next = (fr.next + 1) % fr.ring.size();
-    fr.full = true;
-  }
-  if (e.kind != EventKind::kCounter) return;
-  // Windowed trigger counts; the window key mirrors the counter plane's.
-  const double w = std::floor(e.t / (opts_.window > 0.0 ? opts_.window : 1.0));
-  const std::uint64_t window = w > 0.0 ? static_cast<std::uint64_t>(w) : 0;
-  if (window != fr.window) {
-    fr.window = window;
-    fr.counts.fill(0);
-  }
-  const Counter c = static_cast<Counter>(e.id);
-  const std::uint64_t delta = static_cast<std::uint64_t>(e.value);
-  if (c == Counter::kEvicts) {
-    const std::size_t ti = static_cast<std::size_t>(FlightTrigger::kEvictStorm);
-    fr.counts[ti] += delta;
-    if (fr.counts[ti] >= opts_.flight.evict_storm)
-      flight_dump(stream, fr, FlightTrigger::kEvictStorm, e.t, window);
-  } else if (c == Counter::kIngestShed) {
-    const std::size_t ti = static_cast<std::size_t>(FlightTrigger::kShedBurst);
-    fr.counts[ti] += delta;
-    if (fr.counts[ti] >= opts_.flight.shed_burst)
-      flight_dump(stream, fr, FlightTrigger::kShedBurst, e.t, window);
-  } else if (c == Counter::kLocalizeFailures) {
-    const std::size_t ti =
-        static_cast<std::size_t>(FlightTrigger::kSolverStall);
-    fr.counts[ti] += delta;
-    if (fr.counts[ti] >= opts_.flight.localize_failures)
-      flight_dump(stream, fr, FlightTrigger::kSolverStall, e.t, window);
-  }
-}
-
-void Collector::drain() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  drain_locked();
-}
-
-void Collector::drain_locked() {
-  Event buf[256];
-  const bool flight_on = opts_.flight.capacity > 0;
-  for (std::size_t si = 0; si < streams_.size(); ++si) {
-    ShardStream& s = *streams_[si];
-    FlightRing& fr = flight_[si];
-    for (;;) {
-      const std::size_t n = s.bus().pop(buf, std::size(buf));
-      if (n == 0) break;
-      events_ += n;
-      for (std::size_t i = 0; i < n; ++i) {
-        const Event& e = buf[i];
-        switch (e.kind) {
-          case EventKind::kSpan:
-            if (e.id < kStageCount) spans_[e.id].record(e.value);
-            break;
-          case EventKind::kSample:
-            if (e.id < kSampleCount) samples_[e.id].record(e.value);
-            break;
-          case EventKind::kCounter:
-            break;  // counted deterministically via the pages
-          case EventKind::kTraceSpan:
-            break;  // authoritative copy lives in the producer vector
-        }
-        if (flight_on) flight_observe(si, fr, e);
-      }
-    }
-    if (flight_on) {
-      const std::uint64_t dropped = s.bus().dropped();
-      if (dropped > fr.dropped_seen) {
-        fr.dropped_seen = dropped;
-        flight_dump(si, fr, FlightTrigger::kRingOverflow, s.time(),
-                    fr.window == ~0ull ? 0 : fr.window);
-      }
-    }
-  }
-}
-
-TelemetryReport Collector::report() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  drain_locked();
+TelemetryReport Collector::report() const {
   TelemetryReport rep;
   rep.options = opts_;
   rep.streams = streams_.size();
@@ -229,18 +154,17 @@ TelemetryReport Collector::report() {
     for (std::size_t w = 0; w < pages.size(); ++w)
       for (std::size_t c = 0; c < kCounterCount; ++c)
         rep.snapshots[w].counts[c] += pages[w][c];
-    rep.dropped += s->bus().dropped();
+    for (std::size_t i = 0; i < kStageCount; ++i) rep.spans[i].merge(s->spans()[i]);
+    for (std::size_t i = 0; i < kSampleCount; ++i) rep.samples[i].merge(s->samples()[i]);
     rep.trace.insert(rep.trace.end(), s->trace_spans().begin(),
                      s->trace_spans().end());
     rep.trace_dropped += s->trace_dropped();
+    rep.flight.insert(rep.flight.end(), s->flight_dumps().begin(),
+                      s->flight_dumps().end());
   }
   for (const Snapshot& snap : rep.snapshots)
     for (std::size_t c = 0; c < kCounterCount; ++c)
       rep.totals[c] += snap.counts[c];
-  rep.spans = spans_;
-  rep.samples = samples_;
-  rep.events = events_;
-  rep.flight = dumps_;
   return rep;
 }
 

@@ -1,51 +1,49 @@
 // ShardStream + Collector: the two halves of the fleet telemetry plane.
 //
 // One ShardStream per producer thread (a fleet shard, a server worker, or
-// the ingest loop). It carries two planes with different guarantees:
+// the ingest loop). Everything a stream records stays producer-local, so
+// the hot path never synchronizes and nothing is ever dropped. It carries
+// three kinds of state with different guarantees:
 //
-//   * Counter pages — deterministic. count() accumulates into a producer-
-//     local dense page indexed by (virtual-time window, Counter). Pages are
-//     never dropped and never contended; the collector merges them in
-//     stream order, and because every counter event carries virtual time
-//     (fleet tick / frame t_s), the per-window sums are invariant to how
-//     sessions are partitioned across shards, workers, or threads. This is
-//     the section uwp_run emits as "counters" and CI diffs bit-for-bit.
-//   * The Bus ring — run-varying. Every event (counters included, as a live
-//     stream) is also pushed onto the shard's SPSC Bus; span timers and
-//     scalar samples exist only there. Ring overflow drops the event and
-//     bumps the drop counter — the hot path never blocks.
+//   * Counter pages — deterministic. count() accumulates into a dense page
+//     indexed by (virtual-time window, Counter). Because every counter
+//     event carries virtual time (fleet tick / frame t_s), the per-window
+//     sums merged in stream order are invariant to how sessions are
+//     partitioned across shards, workers, or threads. This is the section
+//     uwp_run emits as "counters" and CI diffs bit-for-bit.
+//   * Timing histograms — run-varying. span() and sample() record into the
+//     stream's own log-bucket histograms; every span of the run is counted.
+//   * Flight ring — the stream's most recent events (counters, spans,
+//     samples), dumped when an anomaly trigger fires on a counter event.
 //
-// The Collector owns the streams, drains the rings into log-bucket
-// histograms (concurrently with producers if desired — Bus is SPSC and the
-// collector is the one consumer), and renders the final TelemetryReport:
-// deterministic window Snapshots + totals, and run-varying span/sample
-// histograms with drop accounting.
+// The Collector owns the streams and renders the final TelemetryReport by
+// merging them in stream order: counter pages into deterministic window
+// Snapshots + totals, histograms via Histogram::merge, trace spans and
+// flight dumps concatenated.
 //
 // Threading: open() before producers start; each stream is written by
 // exactly one thread; report() only after producers have joined (it reads
-// the counter pages, which are intentionally unsynchronized).
+// every stream's producer-local state, which is intentionally
+// unsynchronized).
 #pragma once
 
 #include <array>
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
-#include "telemetry/bus.hpp"
 #include "telemetry/events.hpp"
 #include "telemetry/histogram.hpp"
 #include "telemetry/trace.hpp"
 
 namespace uwp::telemetry {
 
-// Flight recorder knobs. The recorder keeps a bounded collector-side ring
-// of the most recently drained events per stream and snapshots it when an
-// anomaly trigger fires, so tail incidents are debuggable after the fact.
-// Thresholds are counter deltas per snapshot window; triggers ride the
-// lossy ring, so detection is best-effort by design (the deterministic
-// counter plane is unaffected either way).
+// Flight recorder knobs. Each stream keeps a bounded ring of its most
+// recent events and snapshots it when an anomaly trigger fires, so tail
+// incidents are debuggable after the fact. Thresholds are counter deltas
+// per snapshot window; a trigger fires as a pure function of the stream's
+// counter events.
 struct FlightOptions {
   std::size_t capacity = 256;  // events retained per stream; 0 disables
   std::size_t max_dumps = 4;   // dump budget per stream
@@ -62,10 +60,8 @@ struct TelemetryOptions {
   // Snapshot window in virtual-time units (ticks for the fleet driver,
   // seconds for the ingest server — the factory scales by tick_period_s).
   double window = 16.0;
-  // Per-stream Bus capacity (rounded up to a power of two).
-  std::size_t ring_capacity = 1 << 15;
-  // Causal round traces: producer-local span records + kTraceSpan mirror
-  // events on the Bus. Off by default — tracing reads the clock per span.
+  // Causal round traces: producer-local span records. Off by default —
+  // tracing reads the clock per span.
   bool trace = false;
   // Per-stream span cap (safety valve; overflow counts as trace_dropped).
   std::size_t trace_max_spans = 1 << 20;
@@ -76,7 +72,6 @@ enum class FlightTrigger : std::uint8_t {
   kEvictStorm = 0,  // session evictions clustered in one window
   kShedBurst,       // shaper shed a burst of measurement frames
   kSolverStall,     // localize stages failing to produce fixes
-  kRingOverflow,    // the stream's Bus dropped events since the last drain
   kCount_,
 };
 inline constexpr std::size_t kFlightTriggerCount =
@@ -105,17 +100,15 @@ struct TelemetryReport {
   // Deterministic plane: one Snapshot per window, dense from window 0.
   std::vector<Snapshot> snapshots;
   std::array<std::uint64_t, kCounterCount> totals{};
-  // Run-varying plane.
+  // Run-varying plane: every stream's histograms, merged.
   std::array<Histogram, kStageCount> spans;
   std::array<Histogram, kSampleCount> samples;
-  std::uint64_t events = 0;   // events drained from the rings
-  std::uint64_t dropped = 0;  // ring-overflow drops across all streams
   // Trace plane: producer-local spans concatenated in stream order. The
   // span *structure* (trace_structure_digest) is deterministic; ts/dur and
   // stream placement are not.
   std::vector<TraceSpan> trace;
   std::uint64_t trace_dropped = 0;  // spans lost to the per-stream cap
-  // Flight-recorder dumps captured during drains, in capture order.
+  // Flight-recorder dumps in stream order, each stream's in capture order.
   std::vector<FlightDump> flight;
 
   // Bit-equality of the deterministic plane (the ctest pin).
@@ -132,20 +125,23 @@ class ShardStream {
   // Set the producer's current virtual time; subsequent count() calls land
   // in floor(t / window). Negative times clamp to window 0.
   void set_time(double t);
-  double time() const { return time_; }
 
   void count(Counter c, std::uint64_t delta = 1);
   void sample(Sample s, double value);
   void span(Stage s, double seconds);
 
   bool timing_enabled() const { return timing_; }
-  Bus& bus() { return bus_; }
+
+  // This stream's timing histograms and flight dumps (same read rule as
+  // pages(): other threads only after the producer has joined).
+  const std::array<Histogram, kStageCount>& spans() const { return spans_; }
+  const std::array<Histogram, kSampleCount>& samples() const { return samples_; }
+  const std::vector<FlightDump>& flight_dumps() const { return dumps_; }
 
   // Trace plane. trace_now() is the span-start timestamp (seconds since
   // the collector epoch, shared by every stream so cross-stream spans
   // align); it reads the clock only when tracing is on. trace_span()
-  // records {id, op, parent, virtual time, ts0 .. now} producer-locally
-  // and mirrors a kTraceSpan event onto the Bus.
+  // records {id, op, parent, virtual time, ts0 .. now} producer-locally.
   bool trace_enabled() const { return trace_; }
   double trace_now() const;
   void trace_span(std::uint64_t trace_id, TraceOp op, TraceOp parent,
@@ -160,6 +156,10 @@ class ShardStream {
   const std::vector<CounterPage>& pages() const { return pages_; }
 
  private:
+  void flight_observe(const Event& e);
+  void flight_dump(FlightTrigger trig);
+
+  FlightOptions flight_;
   double window_ = 16.0;
   bool timing_ = true;
   bool trace_ = false;
@@ -171,7 +171,15 @@ class ShardStream {
   std::vector<CounterPage> pages_;
   std::vector<TraceSpan> trace_spans_;
   std::uint64_t trace_dropped_ = 0;
-  Bus bus_;
+  std::array<Histogram, kStageCount> spans_;
+  std::array<Histogram, kSampleCount> samples_;
+  // Flight ring: circular once full, `ring_next_` is the oldest slot.
+  std::vector<Event> ring_;
+  std::size_t ring_next_ = 0;
+  std::uint64_t trigger_window_ = ~0ull;  // window trigger_counts_ belong to
+  std::array<std::uint64_t, kFlightTriggerCount> trigger_counts_{};
+  std::array<std::uint64_t, kFlightTriggerCount> last_dump_window_;
+  std::vector<FlightDump> dumps_;
 };
 
 // Scoped wall-clock span timer. Cost when the stream is null or timing is
@@ -211,51 +219,19 @@ class Collector {
   bool enabled() const { return opts_.enabled; }
 
   // Allocate `n` producer streams (invalidates previous ones). Call before
-  // the producer threads start. Serialized against drain()/report() so a
-  // tailer thread can keep draining across a re-open.
+  // the producer threads start.
   void open(std::size_t n);
   std::size_t streams() const { return streams_.size(); }
   ShardStream& stream(std::size_t i) { return *streams_[i]; }
 
-  // Drain every stream's Bus into the timing accumulators and the flight
-  // rings. Safe to call while producers are live (the collector is the
-  // single ring consumer) and from a thread other than the one calling
-  // open()/report().
-  void drain();
-
-  // Final report: drains, then merges counter pages in stream order.
-  // Producers must have finished.
-  TelemetryReport report();
+  // Final report: merges every stream's pages, histograms, trace spans and
+  // flight dumps in stream order. Producers must have finished.
+  TelemetryReport report() const;
 
  private:
-  // Per-stream flight-recorder state, collector-side only (touched under
-  // mu_ during drains — producers never see it).
-  struct FlightRing {
-    std::vector<Event> ring;  // circular, `next` is the oldest slot
-    std::size_t next = 0;
-    bool full = false;
-    std::uint64_t window = ~0ull;  // window the counts below belong to
-    std::array<std::uint64_t, kFlightTriggerCount> counts{};
-    std::array<std::uint64_t, kFlightTriggerCount> last_dump_window;
-    std::uint64_t dropped_seen = 0;
-    std::size_t dumps = 0;
-    FlightRing() { last_dump_window.fill(~0ull); }
-  };
-
-  void drain_locked();
-  void flight_observe(std::size_t stream, FlightRing& fr, const Event& e);
-  void flight_dump(std::size_t stream, FlightRing& fr, FlightTrigger trig,
-                   double t, std::uint64_t window);
-
   TelemetryOptions opts_;
   std::chrono::steady_clock::time_point epoch_;
-  mutable std::mutex mu_;  // open()/drain()/report() vs a concurrent tailer
   std::vector<std::unique_ptr<ShardStream>> streams_;
-  std::vector<FlightRing> flight_;
-  std::vector<FlightDump> dumps_;
-  std::array<Histogram, kStageCount> spans_;
-  std::array<Histogram, kSampleCount> samples_;
-  std::uint64_t events_ = 0;
 };
 
 }  // namespace uwp::telemetry

@@ -1,4 +1,4 @@
-// Typed telemetry events for the fleet observability bus.
+// Typed telemetry events for the fleet observability plane.
 //
 // Every instrumented site emits one of three event families, and the family
 // decides which side of the metrics-vs-timing JSON contract the data lands
@@ -8,10 +8,10 @@
 //     (fleet tick, or a served frame's t_s). Counters are accumulated
 //     producer-locally and merged per virtual-time window, so their sums
 //     are bit-identical at any shard/worker/thread count. They are never
-//     dropped, whatever the ring sizing.
+//     dropped.
 //   * Stage — wall-clock span durations from scoped timers around pipeline
-//     and ingest stages. Wall time is inherently run-varying; spans ride
-//     the lossy ring and feed log-bucket histograms (p50/p99/p999).
+//     and ingest stages. Wall time is inherently run-varying; every span
+//     feeds its stream's log-bucket histograms (p50/p99/p999).
 //   * Sample — run-varying scalar observations (live queue depth) whose
 //     values depend on scheduling, not the spec.
 //   * TraceOp — causal round-trace spans. Each traced round carries one
@@ -19,8 +19,8 @@
 //     span *structure* (which ops fired, parent links, virtual time) is
 //     deterministic, wall-clock start/duration is not.
 //
-// The Event struct itself is a 32-byte POD so pushes compile to a handful
-// of stores; `ref` carries the trace id for kTraceSpan events.
+// The Event struct is the flight recorder's ring slot: a 24-byte POD, so
+// retaining one compiles to a handful of stores.
 #pragma once
 
 #include <cstdint>
@@ -96,19 +96,16 @@ enum class EventKind : std::uint8_t {
   kCounter = 0,
   kSpan = 1,
   kSample = 2,
-  kTraceSpan = 3,
 };
 
-// One ring slot. `id` is the Counter/Stage/Sample/TraceOp enum value for
-// `kind`; `t` is virtual time for counters/trace spans and don't-care for
-// stage spans/samples; `value` is the counter delta, span seconds, or
-// sample value; `ref` is the trace id for kTraceSpan and 0 otherwise.
+// One flight-ring slot. `id` is the Counter/Stage/Sample enum value for
+// `kind`; `t` is the producer's virtual time; `value` is the counter
+// delta, span seconds, or sample value.
 struct Event {
   EventKind kind = EventKind::kCounter;
   std::uint8_t id = 0;
   double t = 0.0;
   double value = 0.0;
-  std::uint64_t ref = 0;
 };
 
 }  // namespace uwp::telemetry

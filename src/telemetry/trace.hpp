@@ -15,8 +15,7 @@
 //     scheduling and are excluded from the digest.
 //
 // Spans are recorded producer-locally (never dropped below the per-stream
-// cap, like counter pages) and mirrored onto the SPSC Bus as kTraceSpan
-// events for live tailers and the flight recorder. write_chrome_trace()
+// cap, like counter pages). write_chrome_trace()
 // renders the Chrome trace-event JSON that Perfetto / chrome://tracing
 // load directly, including flow arrows chaining cross-thread spans of one
 // trace (ingest -> queue -> round).

@@ -215,14 +215,12 @@ TEST(SpecFactory, TelemetryOptionsScaleWindowToTheModesVirtualClock) {
   spec.telemetry.enabled = true;
   spec.telemetry.timing = false;
   spec.telemetry.window_ticks = 8;
-  spec.telemetry.ring_capacity = 1024;
   spec.fleet.server.tick_period_s = 0.5;
 
   // Fleet stamps tick indices: the window is the tick count verbatim.
   telemetry::TelemetryOptions fo = make_telemetry_options(spec);
   EXPECT_TRUE(fo.enabled);
   EXPECT_FALSE(fo.timing);
-  EXPECT_EQ(fo.ring_capacity, 1024u);
   EXPECT_EQ(fo.window, 8.0);
 
   // Serve stamps frame t_s (tick_period_s per tick): same windows on the

@@ -8,6 +8,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/random.hpp"
@@ -131,7 +132,6 @@ ScenarioSpec random_spec(uwp::Rng& rng, bool include_nan) {
   s.telemetry.enabled = rng.bernoulli(0.5);
   s.telemetry.timing = rng.bernoulli(0.5);
   s.telemetry.window_ticks = static_cast<std::size_t>(rng.uniform_int(1, 64));
-  s.telemetry.ring_capacity = static_cast<std::size_t>(rng.uniform_int(1, 1 << 16));
   s.telemetry.trace.enabled = rng.bernoulli(0.5);
   s.telemetry.trace.max_spans = static_cast<std::size_t>(rng.uniform_int(1, 1 << 20));
   s.telemetry.flight.capacity = static_cast<std::size_t>(rng.uniform_int(0, 1 << 10));
@@ -237,19 +237,25 @@ TEST(SpecParse, UnknownAndMistypedFieldsFailWithPaths) {
                      "telemetry.flight.capacity");
 }
 
-// Control keys of the retired solver and arena tuners (and their policy
-// gates) must fail loudly, not be ignored.
-TEST(SpecParse, RemovedControlKeysAreUnknownFields) {
-  for (const char* key :
-       {"solver", "solver_iters_high", "solver_iters_low", "max_search_threads",
-        "arena", "shaper", "evict_storm", "retain_base", "retain_max"}) {
-    const std::string json = std::string(R"({"control": {")") + key + R"(": 1}})";
+// Keys of retired features must fail loudly, not be ignored: the control
+// keys of the solver and arena tuners (and their policy gates), and the
+// size of the telemetry event ring.
+TEST(SpecParse, RemovedKeysAreUnknownFields) {
+  const std::pair<const char*, const char*> removed[] = {
+      {"control", "solver"},          {"control", "solver_iters_high"},
+      {"control", "solver_iters_low"}, {"control", "max_search_threads"},
+      {"control", "arena"},           {"control", "shaper"},
+      {"control", "evict_storm"},     {"control", "retain_base"},
+      {"control", "retain_max"},      {"telemetry", "ring_capacity"}};
+  for (const auto& [section, key] : removed) {
+    const std::string json =
+        std::string(R"({")") + section + R"(": {")" + key + R"(": 1}})";
     try {
       parse_spec(json);
       ADD_FAILURE() << "expected SpecError for " << json;
     } catch (const SpecError& e) {
       const std::string what = e.what();
-      EXPECT_NE(what.find(std::string("control.") + key), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string(section) + "." + key), std::string::npos) << what;
       EXPECT_NE(what.find("unknown field"), std::string::npos) << what;
     }
   }
@@ -466,16 +472,6 @@ TEST(SpecValidate, TelemetryFieldsReportTheirPaths) {
     ScenarioSpec s;
     s.telemetry.window_ticks = 0;
     expect_invalid(s, "telemetry.window_ticks");
-  }
-  {
-    ScenarioSpec s;
-    s.telemetry.ring_capacity = 0;
-    expect_invalid(s, "telemetry.ring_capacity");
-  }
-  {
-    ScenarioSpec s;
-    s.telemetry.ring_capacity = (std::size_t{1} << 24) + 1;
-    expect_invalid(s, "telemetry.ring_capacity");
   }
   {
     ScenarioSpec s;

@@ -3,9 +3,25 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <new>
 
 #include "util/random.hpp"
 #include "util/stats.hpp"
+
+// Counting global allocator: the steady-state tracker must not allocate.
+namespace {
+bool g_count_allocs = false;
+long g_allocs = 0;
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (g_count_allocs) ++g_allocs;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace uwp::core {
 namespace {
@@ -97,6 +113,23 @@ TEST(DiverTrack, VelocityDecaysWithoutUpdates) {
   ASSERT_GT(v0, 0.1);
   for (int i = 0; i < 10; ++i) track.predict(5.0);
   EXPECT_LT(track.speed(), 0.05 * v0 + 1e-3);
+}
+
+TEST(DiverTrack, WarmPredictAndUpdateAllocateNothing) {
+  DiverTrack track;
+  track.update({0.0, 0.0});
+  track.predict(5.0);
+  track.update({0.4, 0.2});  // warm: every scratch buffer has its shape
+  uwp::Rng rng(3);
+  g_allocs = 0;
+  g_count_allocs = true;
+  for (int round = 0; round < 100; ++round) {
+    track.predict(5.0);
+    track.update({0.1 * round + rng.normal(0.0, 0.5), rng.normal(0.0, 0.5)});
+  }
+  g_count_allocs = false;
+  EXPECT_EQ(g_allocs, 0);
+  EXPECT_TRUE(track.initialized());
 }
 
 TEST(GroupTracker, PerDeviceIndependence) {

@@ -1,16 +1,15 @@
-// Telemetry plane invariants: the SPSC ring never blocks and accounts every
-// overflow drop; histogram bucketing is exact at octave boundaries; the
-// deterministic counter plane is bit-identical whatever the shard/worker
-// partitioning or ring sizing — the contract uwp_run's "counters" section
-// (and CI's cross-thread diff) relies on; trace-span *structure* and the
-// SLO scoreboard share that determinism while their wall-clock side stays
-// free; and the flight recorder dumps context when its triggers fire.
+// Telemetry plane invariants: histogram bucketing is exact at octave
+// boundaries; the deterministic counter plane is bit-identical whatever the
+// shard/worker partitioning — the contract uwp_run's "counters" section
+// (and CI's cross-thread diff) relies on; the timing plane counts every
+// span of a run; trace-span *structure* and the SLO scoreboard share the
+// counters' determinism while their wall-clock side stays free; and the
+// flight recorder dumps context when its triggers fire.
 #include "telemetry/collector.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -24,102 +23,12 @@
 #include "fleet/server.hpp"
 #include "fleet/service.hpp"
 #include "sim/fleet_workload.hpp"
-#include "telemetry/bus.hpp"
 #include "telemetry/histogram.hpp"
 #include "telemetry/slo.hpp"
 #include "telemetry/trace.hpp"
 
 namespace uwp::telemetry {
 namespace {
-
-Event counter_event(std::uint64_t n) {
-  Event e;
-  e.kind = EventKind::kCounter;
-  e.id = static_cast<std::uint8_t>(Counter::kRounds);
-  e.t = 0.0;
-  e.value = static_cast<double>(n);
-  return e;
-}
-
-// --- Bus --------------------------------------------------------------------
-
-TEST(Bus, RoundsCapacityUpToPowerOfTwo) {
-  EXPECT_EQ(Bus(0).capacity(), 8u);
-  EXPECT_EQ(Bus(8).capacity(), 8u);
-  EXPECT_EQ(Bus(9).capacity(), 16u);
-  EXPECT_EQ(Bus(1000).capacity(), 1024u);
-}
-
-TEST(Bus, FifoAcrossWraparound) {
-  Bus bus(8);
-  Event out[4];
-  std::uint64_t next = 0, read = 0;
-  // Cycle several times the capacity so head/tail wrap the mask repeatedly.
-  for (int cycle = 0; cycle < 10; ++cycle) {
-    for (int i = 0; i < 5; ++i) ASSERT_TRUE(bus.try_push(counter_event(next++)));
-    std::size_t got = 0;
-    while (got < 5) {
-      const std::size_t n = bus.pop(out, 4);
-      for (std::size_t k = 0; k < n; ++k)
-        EXPECT_EQ(out[k].value, static_cast<double>(read++));
-      got += n;
-    }
-  }
-  EXPECT_EQ(read, next);
-  EXPECT_EQ(bus.dropped(), 0u);
-}
-
-TEST(Bus, OverflowDropsAndCountsInsteadOfBlocking) {
-  Bus bus(8);
-  for (std::uint64_t i = 0; i < 8; ++i) ASSERT_TRUE(bus.try_push(counter_event(i)));
-  // Full: pushes fail immediately (no blocking) and every loss is counted.
-  EXPECT_FALSE(bus.try_push(counter_event(8)));
-  EXPECT_FALSE(bus.try_push(counter_event(9)));
-  EXPECT_EQ(bus.dropped(), 2u);
-
-  // The ring's contents survive the overflow intact, oldest first.
-  Event out[8];
-  ASSERT_EQ(bus.pop(out, 8), 8u);
-  for (std::uint64_t i = 0; i < 8; ++i) EXPECT_EQ(out[i].value, static_cast<double>(i));
-
-  // Space reclaimed: pushes succeed again.
-  EXPECT_TRUE(bus.try_push(counter_event(10)));
-  EXPECT_EQ(bus.dropped(), 2u);
-}
-
-// Single producer, single consumer, live concurrently (the TSan target):
-// everything pushed is either delivered in order or counted as dropped.
-TEST(Bus, ConcurrentProducerConsumerLosesNothingUnaccounted) {
-  Bus bus(64);
-  constexpr std::uint64_t kEvents = 200000;
-
-  std::uint64_t delivered = 0;
-  std::uint64_t last = 0;
-  bool ordered = true;
-  std::thread consumer([&] {
-    Event out[32];
-    // Drain until the producer's full count is accounted for. dropped() may
-    // lag the push that failed, so re-check until the sum closes.
-    for (;;) {
-      const std::size_t n = bus.pop(out, 32);
-      for (std::size_t k = 0; k < n; ++k) {
-        const std::uint64_t v = static_cast<std::uint64_t>(out[k].value);
-        if (delivered > 0 && v <= last) ordered = false;
-        last = v;
-        ++delivered;
-      }
-      if (n == 0 && delivered + bus.dropped() >= kEvents) break;
-      if (n == 0) std::this_thread::yield();
-    }
-  });
-
-  for (std::uint64_t i = 0; i < kEvents; ++i) bus.try_push(counter_event(i));
-  consumer.join();
-
-  EXPECT_TRUE(ordered);
-  EXPECT_EQ(delivered + bus.dropped(), kEvents);
-  EXPECT_GT(delivered, 0u);
-}
 
 // --- Histogram --------------------------------------------------------------
 
@@ -198,14 +107,13 @@ sim::WorkloadParams small_params(std::size_t sessions) {
 }
 
 TelemetryReport fleet_report(const std::vector<sim::GroupScenario>& workload,
-                             std::size_t shards, std::size_t ring_capacity = 1 << 15) {
+                             std::size_t shards) {
   fleet::FleetOptions fo;
   fo.master_seed = 0x7E1Eu;
   fo.shards = shards;
   TelemetryOptions topts;
   topts.enabled = true;
   topts.window = 4.0;
-  topts.ring_capacity = ring_capacity;
   Collector collector(topts);
   fleet::FleetService(fo, workload).run(nullptr, &collector);
   return collector.report();
@@ -226,18 +134,6 @@ TEST(CounterPlane, FleetSnapshotsBitIdenticalAcrossShardCounts) {
   EXPECT_EQ(one.totals[static_cast<std::size_t>(Counter::kAdmits)], workload.size());
   EXPECT_EQ(one.totals[static_cast<std::size_t>(Counter::kEvicts)], workload.size());
   EXPECT_GT(one.snapshots.size(), 1u);
-}
-
-TEST(CounterPlane, RingOverflowNeverTouchesCounters) {
-  const std::vector<sim::GroupScenario> workload =
-      sim::make_workload(small_params(8));
-  // An 8-slot ring drops nearly the whole live stream; the counter pages
-  // must not notice.
-  const TelemetryReport tiny = fleet_report(workload, 2, 1);
-  const TelemetryReport big = fleet_report(workload, 2, 1 << 15);
-  EXPECT_GT(tiny.dropped, 0u);
-  EXPECT_EQ(big.dropped, 0u);
-  EXPECT_TRUE(tiny.counters_equal(big));
 }
 
 TelemetryReport serve_report(const std::vector<sim::GroupScenario>& workload,
@@ -315,37 +211,6 @@ TEST(CounterPlane, UnshapedServeMatchesFleetSharedCounters) {
   }
 }
 
-// A tailer thread draining concurrently with a sharded run (satellite for
-// the live-dashboard use case): drain() races the shard producers and the
-// service's internal open(), and the deterministic plane must come out
-// exactly as a quiet sequential run's.
-TEST(CounterPlane, ConcurrentTailerDrainsDuringShardedRun) {
-  const std::vector<sim::GroupScenario> workload =
-      sim::make_workload(small_params(12));
-  fleet::FleetOptions fo;
-  fo.master_seed = 0x7E1Eu;
-  fo.shards = 4;
-  TelemetryOptions topts;
-  topts.enabled = true;
-  topts.window = 4.0;
-  Collector collector(topts);
-
-  std::atomic<bool> stop{false};
-  std::thread tailer([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      collector.drain();
-      std::this_thread::yield();
-    }
-  });
-  fleet::FleetService(fo, workload).run(nullptr, &collector);
-  stop.store(true, std::memory_order_relaxed);
-  tailer.join();
-
-  TelemetryReport tailed = collector.report();
-  EXPECT_TRUE(tailed.counters_equal(fleet_report(workload, 2)));
-  EXPECT_GT(tailed.totals[static_cast<std::size_t>(Counter::kRounds)], 0u);
-}
-
 TEST(CounterPlane, DisabledTimingKeepsCountersAndSkipsSpans) {
   const std::vector<sim::GroupScenario> workload =
       sim::make_workload(small_params(6));
@@ -364,6 +229,27 @@ TEST(CounterPlane, DisabledTimingKeepsCountersAndSkipsSpans) {
   for (std::size_t s = 0; s < kStageCount; ++s)
     EXPECT_EQ(rep.spans[s].count(), 0u) << to_string(static_cast<Stage>(s));
   EXPECT_TRUE(rep.counters_equal(fleet_report(workload, 3)));
+}
+
+// --- timing plane -----------------------------------------------------------
+
+// Every stream records into its own histograms, so a long run's spans are
+// all counted: here one shard emits well over 32,768 events (about ten per
+// round), and each round contributes one round span, one localize span and
+// two track spans (predict + update).
+TEST(TimingPlane, SpanHistogramsCountEveryRound) {
+  sim::WorkloadParams p = small_params(500);
+  p.min_rounds = 8;
+  p.max_rounds = 8;
+  p.include_des = false;
+  const std::vector<sim::GroupScenario> workload = sim::make_workload(p);
+  const TelemetryReport rep = fleet_report(workload, 1);
+
+  const std::uint64_t rounds = rep.totals[static_cast<std::size_t>(Counter::kRounds)];
+  ASSERT_GE(rounds, 3500u);
+  EXPECT_EQ(rep.spans[static_cast<std::size_t>(Stage::kRound)].count(), rounds);
+  EXPECT_EQ(rep.spans[static_cast<std::size_t>(Stage::kLocalize)].count(), rounds);
+  EXPECT_EQ(rep.spans[static_cast<std::size_t>(Stage::kTrack)].count(), 2 * rounds);
 }
 
 // --- trace plane ------------------------------------------------------------
@@ -542,25 +428,45 @@ TEST(FlightRecorder, EvictStormTriggerDumpsRecentEvents) {
   EXPECT_TRUE(saw_evict_storm);
 }
 
-TEST(FlightRecorder, RingOverflowTriggerFiresOnDrops) {
+// With timing off a stream's events are counters only, keyed by virtual
+// time, so which dumps fire and what they hold is a pure function of the
+// workload and the shard partition.
+TEST(FlightRecorder, DumpsArePureWithTimingOff) {
   const std::vector<sim::GroupScenario> workload =
-      sim::make_workload(small_params(8));
-  fleet::FleetOptions fo;
-  fo.master_seed = 0x7E1Eu;
-  fo.shards = 2;
-  TelemetryOptions topts;
-  topts.enabled = true;
-  topts.ring_capacity = 1;  // rounds to the 8-slot minimum: guaranteed drops
-  topts.flight.capacity = 16;
-  Collector collector(topts);
-  fleet::FleetService(fo, workload).run(nullptr, &collector);
-  const TelemetryReport rep = collector.report();
-
-  ASSERT_GT(rep.dropped, 0u);
-  bool saw_overflow = false;
-  for (const FlightDump& d : rep.flight)
-    if (d.trigger == FlightTrigger::kRingOverflow) saw_overflow = true;
-  EXPECT_TRUE(saw_overflow);
+      sim::make_workload(small_params(12));
+  const auto run = [&] {
+    fleet::FleetOptions fo;
+    fo.master_seed = 0x7E1Eu;
+    fo.shards = 2;
+    TelemetryOptions topts;
+    topts.enabled = true;
+    topts.timing = false;
+    topts.window = 4.0;
+    topts.flight.evict_storm = 1;
+    Collector collector(topts);
+    fleet::FleetService(fo, workload).run(nullptr, &collector);
+    return collector.report().flight;
+  };
+  const std::vector<FlightDump> a = run();
+  const std::vector<FlightDump> b = run();
+  ASSERT_FALSE(a.empty());
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].stream, b[i].stream) << "dump " << i;
+    EXPECT_EQ(a[i].trigger, b[i].trigger) << "dump " << i;
+    EXPECT_EQ(a[i].window, b[i].window) << "dump " << i;
+    EXPECT_EQ(a[i].t, b[i].t) << "dump " << i;
+    ASSERT_EQ(a[i].events.size(), b[i].events.size()) << "dump " << i;
+    for (std::size_t k = 0; k < a[i].events.size(); ++k) {
+      const Event& x = a[i].events[k];
+      const Event& y = b[i].events[k];
+      EXPECT_EQ(x.kind, EventKind::kCounter);
+      EXPECT_EQ(x.kind, y.kind);
+      EXPECT_EQ(x.id, y.id);
+      EXPECT_EQ(x.t, y.t);
+      EXPECT_EQ(x.value, y.value);
+    }
+  }
 }
 
 TEST(FlightRecorder, DisabledCapacityRecordsNothing) {

@@ -20,8 +20,8 @@
 //                  telemetry on even if the spec leaves it disabled) and
 //                  write its report — virtual-time-windowed counters under
 //                  "counters" (bit-identical at any --threads), span/sample
-//                  histograms, ring drop accounting, and flight-recorder
-//                  dumps under "timing"
+//                  histograms over every event of the run and
+//                  flight-recorder dumps under "timing"
 //   --slo-out=FILE fleet/serve only: write the SLO scoreboard — the
 //                  deterministic counter/error reducer under "slo"
 //                  (bit-identical at any --threads; CI byte-diffs exactly
@@ -172,8 +172,7 @@ Json histogram_to_json(const uwp::telemetry::Histogram& h) {
 }
 
 // Flight-recorder events rendered for post-mortem reading: the id enum is
-// resolved through the family named by `kind`, and the trace id is included
-// only where it means something (kTraceSpan).
+// resolved through the family named by `kind`.
 Json flight_event_to_json(const uwp::telemetry::Event& e) {
   namespace tel = uwp::telemetry;
   Json o = Json::object();
@@ -190,11 +189,6 @@ Json flight_event_to_json(const uwp::telemetry::Event& e) {
       o.set("kind", Json::string("sample"));
       o.set("id", Json::string(tel::to_string(static_cast<tel::Sample>(e.id))));
       break;
-    case tel::EventKind::kTraceSpan:
-      o.set("kind", Json::string("trace_span"));
-      o.set("id", Json::string(tel::to_string(static_cast<tel::TraceOp>(e.id))));
-      o.set("trace", uwp::config::u64_to_json(e.ref));
-      break;
   }
   o.set("t", uwp::config::double_to_json(e.t));
   o.set("value", uwp::config::double_to_json(e.value));
@@ -204,9 +198,8 @@ Json flight_event_to_json(const uwp::telemetry::Event& e) {
 // The telemetry document mirrors the metrics document's split: "counters"
 // is the deterministic plane (virtual-time-windowed sums, bit-identical at
 // any shard/worker/thread count — CI diffs exactly this object), "timing"
-// is the run-varying plane (span/sample histograms, ring drop accounting,
-// trace-span accounting, and flight-recorder dumps — dumps ride the lossy
-// ring, so their contents are best-effort by design).
+// is the run-varying plane (span/sample histograms, trace-span accounting,
+// and flight-recorder dumps).
 Json telemetry_report_to_json(const uwp::config::ScenarioSpec& spec,
                               const uwp::telemetry::TelemetryReport& rep) {
   namespace tel = uwp::telemetry;
@@ -251,8 +244,6 @@ Json telemetry_report_to_json(const uwp::config::ScenarioSpec& spec,
 
   Json timing = Json::object();
   timing.set("streams", uwp::config::u64_to_json(rep.streams));
-  timing.set("events", uwp::config::u64_to_json(rep.events));
-  timing.set("dropped", uwp::config::u64_to_json(rep.dropped));
   timing.set("trace_spans", uwp::config::u64_to_json(rep.trace.size()));
   timing.set("trace_dropped", uwp::config::u64_to_json(rep.trace_dropped));
   timing.set("spans", std::move(spans));
@@ -691,13 +682,10 @@ int main(int argc, char** argv) {
   doc.set("timing", std::move(timing));
 
   if (collector != nullptr) {
-    // One report drains everything; the telemetry, trace, and SLO documents
-    // are all views over the same drained state.
+    // One report merges every stream; the telemetry, trace, and SLO
+    // documents are all views over that one merge.
     const uwp::telemetry::TelemetryReport rep = collector->report();
-    std::printf("telemetry: %zu streams, %llu events (%llu dropped), "
-                "%zu counter windows\n",
-                rep.streams, static_cast<unsigned long long>(rep.events),
-                static_cast<unsigned long long>(rep.dropped),
+    std::printf("telemetry: %zu streams, %zu counter windows\n", rep.streams,
                 rep.snapshots.size());
     if (!rep.flight.empty())
       std::printf("flight recorder: %zu dumps\n", rep.flight.size());
