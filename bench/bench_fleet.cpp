@@ -13,11 +13,14 @@
 //                    entry each for the p50/p99/p999 round latency, and a
 //                    second rate entry for the same run with telemetry
 //                    instrumentation on — the pair CI compares to pin the
-//                    instrumentation overhead (< 3%). Rates, counts and
+//                    instrumentation overhead (< 3%), each the median of
+//                    5 alternating off/on runs. Rates, counts and
 //                    errors (coast/evict/shed rates, control actions, SLO
 //                    entries) are "value" entries with a "unit"
+#include <algorithm>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -123,20 +126,47 @@ int main(int argc, char** argv) {
   const std::vector<uwp::sim::GroupScenario> workload = uwp::sim::make_workload(params);
 
   if (flags.json) {
-    const uwp::fleet::FleetResult r = run_fleet(workload, shards);
-    const uwp::sim::RateLatency rl =
-        uwp::sim::rate_latency(r.rounds, r.wall_seconds, r.round_latency_s);
-
-    // The same run with the full telemetry plane attached (counters, span
-    // timers into per-stream histograms, flight ring).
-    // items_per_second(run_telemetry) / items_per_second(run) is the
-    // instrumentation overhead CI pins.
-    uwp::telemetry::TelemetryOptions topts;
-    topts.enabled = true;
-    uwp::telemetry::Collector collector(topts);
-    const uwp::fleet::FleetResult rt = run_fleet(workload, shards, &collector);
-    const uwp::sim::RateLatency rlt =
-        uwp::sim::rate_latency(rt.rounds, rt.wall_seconds, rt.round_latency_s);
+    // The headline run and the same run with the full telemetry plane
+    // attached (counters, span timers into per-stream histograms, flight
+    // ring). items_per_second(run_telemetry) / items_per_second(run) is
+    // the instrumentation overhead CI pins, so each side reports the
+    // median-rate run of kOverheadReps alternating off/on runs: one pair
+    // on a shared machine is mostly noise, and alternating gives neither
+    // side the warmer caches of running second.
+    constexpr std::size_t kOverheadReps = 5;
+    struct TimedRun {
+      uwp::fleet::FleetResult result;
+      uwp::sim::RateLatency rl;
+      std::unique_ptr<uwp::telemetry::Collector> collector;
+    };
+    std::vector<TimedRun> off_runs, on_runs;
+    for (std::size_t rep = 0; rep < kOverheadReps; ++rep) {
+      for (const bool telemetry : {false, true}) {
+        TimedRun t;
+        if (telemetry) {
+          uwp::telemetry::TelemetryOptions topts;
+          topts.enabled = true;
+          t.collector = std::make_unique<uwp::telemetry::Collector>(topts);
+        }
+        t.result = run_fleet(workload, shards, t.collector.get());
+        t.rl = uwp::sim::rate_latency(t.result.rounds, t.result.wall_seconds,
+                                      t.result.round_latency_s);
+        (telemetry ? on_runs : off_runs).push_back(std::move(t));
+      }
+    }
+    const auto median_run = [](std::vector<TimedRun>& runs) -> TimedRun& {
+      std::sort(runs.begin(), runs.end(), [](const TimedRun& a, const TimedRun& b) {
+        return a.rl.rounds_per_sec < b.rl.rounds_per_sec;
+      });
+      return runs[runs.size() / 2];
+    };
+    const TimedRun& off_median = median_run(off_runs);
+    const TimedRun& on_median = median_run(on_runs);
+    const uwp::fleet::FleetResult& r = off_median.result;
+    const uwp::sim::RateLatency& rl = off_median.rl;
+    const uwp::fleet::FleetResult& rt = on_median.result;
+    const uwp::sim::RateLatency& rlt = on_median.rl;
+    const uwp::telemetry::Collector& collector = *on_median.collector;
 
     // SLO scoreboard over the instrumented run: counter totals (warm-start
     // hit rate) plus the deterministic per-round error CDF. These entries

@@ -7,6 +7,11 @@
 // per-kernel speedup of the active backend directly.
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "channel/propagation.hpp"
 #include "core/mds_classical.hpp"
 #include "core/rigidity.hpp"
@@ -71,6 +76,10 @@ std::pair<uwp::Matrix, uwp::Matrix> mds_problem(std::size_t n, uwp::Rng& rng) {
   return {d, uwp::Matrix::ones(n, n)};
 }
 
+// One weight pattern solved over and over on one thread: after the first
+// iteration V^+ comes from the thread's memo, so at 5 and 8 devices this is
+// the memo-hit solve. 12 devices are past the memo's 8 and decompose V on
+// every solve.
 void BM_Smacof(benchmark::State& state) {
   uwp::Rng rng(5);
   const auto [d, w] = mds_problem(static_cast<std::size_t>(state.range(0)), rng);
@@ -80,6 +89,55 @@ void BM_Smacof(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Smacof)->Arg(5)->Arg(8)->Arg(12);
+
+// V^+ lookups for 8-device K8-minus-5 candidate patterns, the work a
+// candidate solve spends before its first Guttman iteration. The miss row
+// walks all 98,280 patterns in order, resuming where the previous batch
+// stopped: that is twelve times the memo's 8,192 slots, so LRU has evicted
+// a pattern long before it comes round again and every lookup runs the
+// Jacobi pseudo-inverse. The hit row repeats one pattern. Their difference
+// is what the memo saves per candidate solve ("hit_rate" shows which path
+// ran).
+void vpinv_lookups(benchmark::State& state, bool fresh) {
+  static const std::vector<std::array<std::uint8_t, 5>> drops = [] {
+    std::vector<std::array<std::uint8_t, 5>> out;
+    for (std::uint8_t a = 0; a < 28; ++a)
+      for (std::uint8_t b = a + 1; b < 28; ++b)
+        for (std::uint8_t c = b + 1; c < 28; ++c)
+          for (std::uint8_t d = c + 1; d < 28; ++d)
+            for (std::uint8_t e = d + 1; e < 28; ++e) out.push_back({a, b, c, d, e});
+    return out;
+  }();
+  static std::size_t next = 0;
+  std::vector<std::pair<std::size_t, std::size_t>> links;
+  for (std::size_t i = 0; i < 8; ++i)
+    for (std::size_t j = i + 1; j < 8; ++j) links.emplace_back(i, j);
+  uwp::Matrix w = uwp::Matrix::ones(8, 8);
+  const auto set_links = [&](const std::array<std::uint8_t, 5>& drop, double value) {
+    for (const std::size_t l : drop)
+      w(links[l].first, links[l].second) = w(links[l].second, links[l].first) = value;
+  };
+  uwp::core::SmacofWorkspace ws;
+  const uwp::core::VPinvMemoStats before = uwp::core::v_pinv_memo_stats();
+  for (auto _ : state) {
+    const std::array<std::uint8_t, 5>& drop = drops[fresh ? next : 0];
+    if (fresh && ++next == drops.size()) next = 0;
+    set_links(drop, 0.0);
+    benchmark::DoNotOptimize(uwp::core::smacof_v_pinv(w, ws));
+    set_links(drop, 1.0);
+  }
+  const uwp::core::VPinvMemoStats after = uwp::core::v_pinv_memo_stats();
+  const double lookups = static_cast<double>(after.hits + after.misses -
+                                             before.hits - before.misses);
+  state.counters["hit_rate"] =
+      lookups > 0 ? static_cast<double>(after.hits - before.hits) / lookups : 0.0;
+}
+
+void BM_SmacofVPinvMiss(benchmark::State& state) { vpinv_lookups(state, true); }
+BENCHMARK(BM_SmacofVPinvMiss);
+
+void BM_SmacofVPinvHit(benchmark::State& state) { vpinv_lookups(state, false); }
+BENCHMARK(BM_SmacofVPinvHit);
 
 void BM_ClassicalMds(benchmark::State& state) {
   uwp::Rng rng(7);

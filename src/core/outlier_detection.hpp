@@ -66,10 +66,12 @@ struct OutlierResult {
   std::int64_t iterations = 0;
 };
 
-// Reusable scratch for localize_with_outlier_detection_into. The base
-// SMACOF workspace keeps its V^+ cache warm across rounds (clean rounds
-// repeat the same weight pattern); candidate solves run on search lanes
-// with their own, so they never evict it.
+// Reusable scratch for localize_with_outlier_detection_into. V^+ of every
+// base and candidate weight pattern comes from the solving thread's memo
+// (see smacof_v_pinv), shared by every round and session that thread
+// serves: a candidate search revisits the drop patterns earlier searches
+// on the same base graph walked, and candidates can evict the base pattern
+// like any other.
 struct OutlierWorkspace {
   SmacofWorkspace smacof_base;
   SmacofResult base;

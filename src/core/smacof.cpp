@@ -1,7 +1,9 @@
 #include "core/smacof.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 
 #include "util/linalg.hpp"
@@ -60,10 +62,10 @@ void build_links(LinkSoA& soa, const Matrix& dist, const Matrix& w) {
 // the workspace's padded SoA buffers: per-iteration link distances + stress
 // come from one link_stress pass (distances reused by the next B fill), the
 // Guttman products are fused 2-column mat-vecs over the padded B and V^+
-// planes. The caller has built ws.links / ws.vp_pad and zeroed ws.b_pad for
-// this link set.
+// (`vp`) planes. The caller has built ws.links and zeroed ws.b_pad for this
+// link set.
 void run_from(SmacofResult& res, const std::vector<Vec2>& start,
-              const SmacofOptions& opts, SmacofWorkspace& ws) {
+              const SmacofOptions& opts, const double* vp, SmacofWorkspace& ws) {
   const std::size_t n = start.size();
   const std::size_t np = simd::padded(n);
   const LinkSoA& links = ws.links;
@@ -106,8 +108,7 @@ void run_from(SmacofResult& res, const std::vector<Vec2>& start,
     for (std::size_t i = 0; i < n; ++i)
       b[i * np + i] = -kernels::block_sum<Ops>(b + i * np, np);
     kernels::matvec2<Ops>(b, np, n, x, y, ws.bx_x.data(), ws.bx_y.data());
-    kernels::matvec2<Ops>(ws.vp_pad.data(), np, n, ws.bx_x.data(), ws.bx_y.data(), x,
-                          y);
+    kernels::matvec2<Ops>(vp, np, n, ws.bx_x.data(), ws.bx_y.data(), x, y);
 
     const double new_stress = kernels::link_stress<Ops>(
         x, y, links.i.data(), links.j.data(), links.w.data(), links.d.data(), dij,
@@ -126,7 +127,131 @@ void run_from(SmacofResult& res, const std::vector<Vec2>& start,
   for (std::size_t k = 0; k < n; ++k) res.positions[k] = {x[k], y[k]};
 }
 
+// The memo behind smacof_v_pinv. Algorithm 1 re-solves the same few
+// thousand drop patterns of each base graph (a K8 base walks 3,682 of them),
+// so a thread keeps every plane it computes until LRU pushes it out of its
+// set. Planes are handed out in fill order from 32 KB chunks allocated on
+// demand, so a thread's memo grows with the patterns it has seen (a
+// 5-device workload fills a few hundred KB). Every block stays under
+// malloc's mmap threshold: a multi-MB block freed at each thread exit
+// would raise that threshold for the whole process and keep later large
+// buffers resident.
+class VPinvMemo {
+ public:
+  static constexpr std::size_t kMaxNodes = 8;
+  static constexpr std::size_t kPlane = kMaxNodes * kMaxNodes;
+  static constexpr std::size_t kWays = 4;
+  static constexpr unsigned kSetBits = 11;  // 2,048 sets, 8,192 slots
+  static constexpr std::size_t kChunkPlanes = 64;
+  static constexpr std::size_t kChunks = (kWays << kSetBits) / kChunkPlanes;
+
+  // The plane stored under `key` (hit = true), or else the least recently
+  // used plane of its set, now stored under `key` for the caller to fill.
+  double* lookup(std::uint32_t key, bool& hit) {
+    if (!sets_) sets_.reset(new Set[std::size_t{1} << kSetBits]());
+    Set& set = sets_[(key * 0x9E3779B1u) >> (32 - kSetBits)];
+    // Ways are kept most recently used first; empty ways (key 0) trail.
+    std::size_t way = 0;
+    while (way + 1 < kWays && set.key[way] != key) ++way;
+    hit = set.key[way] == key;
+    if (hit) {
+      ++stats.hits;
+    } else {
+      ++stats.misses;
+      if (set.key[way] == 0) set.plane[way] = planes_used_++;
+    }
+    const std::uint16_t plane = set.plane[way];
+    for (; way > 0; --way) {
+      set.key[way] = set.key[way - 1];
+      set.plane[way] = set.plane[way - 1];
+    }
+    set.key[0] = key;
+    set.plane[0] = plane;
+    std::unique_ptr<double[]>& chunk = chunks_[plane / kChunkPlanes];
+    if (!chunk) chunk.reset(new double[kChunkPlanes * kPlane]);
+    return &chunk[plane % kChunkPlanes * kPlane];
+  }
+
+  VPinvMemoStats stats;
+
+ private:
+  struct Set {
+    std::uint32_t key[kWays];    // 0 = empty (a key has n >= 2)
+    std::uint16_t plane[kWays];  // plane index, assigned at first fill
+  };
+  std::unique_ptr<Set[]> sets_;
+  std::array<std::unique_ptr<double[]>, kChunks> chunks_;
+  std::uint16_t planes_used_ = 0;
+};
+
+VPinvMemo& v_pinv_memo() {
+  thread_local VPinvMemo memo;
+  return memo;
+}
+
+// The memo key (n << 28 | upper-triangle link mask) of a symmetric 0/1
+// weight pattern with 2 <= n <= 8, or 0 when `w` is anything else. Zeros
+// must be +0.0: V = -W would otherwise differ in the sign of a zero.
+std::uint32_t link_pattern_key(const Matrix& w) {
+  const std::size_t n = w.rows();
+  if (n < 2 || n > VPinvMemo::kMaxNodes) return 0;
+  const auto unit = [](double x) { return x == 1.0 || (x == 0.0 && !std::signbit(x)); };
+  std::uint32_t mask = 0;
+  unsigned bit = 0;
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i + 1; j < n; ++j, ++bit) {
+      const double a = w(i, j);
+      const double b = w(j, i);
+      if (!unit(a) || !unit(b) || a != b) return 0;
+      if (a == 1.0) mask |= 1u << bit;
+    }
+  return static_cast<std::uint32_t>(n) << 28 | mask;
+}
+
+// V = diag(sum_j w_ij) - W; the pseudo-inverse handles the rank deficiency
+// from translation invariance (and disconnected graphs). Writes the padded
+// plane (row stride np, pad entries zero) to `plane`.
+void compute_v_pinv(const Matrix& w, SmacofWorkspace& ws, double* plane) {
+  const std::size_t n = w.rows();
+  const std::size_t np = simd::padded(n);
+  Matrix& v = ws.v;
+  v.assign(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double diag = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (j == i) continue;
+      v(i, j) = -w(i, j);
+      diag += w(i, j);
+    }
+    v(i, i) = diag;
+  }
+  pseudo_inverse_symmetric_into(v, ws.v_pinv, ws.mds.eigen);
+  std::fill(plane, plane + np * np, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::span<const double> prow = ws.v_pinv.row(i);
+    std::copy(prow.begin(), prow.end(), plane + i * np);
+  }
+}
+
 }  // namespace
+
+const double* smacof_v_pinv(const Matrix& w, SmacofWorkspace& ws) {
+  VPinvMemo& memo = v_pinv_memo();
+  const std::uint32_t key = link_pattern_key(w);
+  if (key == 0) {
+    ++memo.stats.uncached;
+    const std::size_t np = simd::padded(w.rows());
+    ws.vp_pad.resize(np * np);
+    compute_v_pinv(w, ws, ws.vp_pad.data());
+    return ws.vp_pad.data();
+  }
+  bool hit = false;
+  double* const plane = memo.lookup(key, hit);
+  if (!hit) compute_v_pinv(w, ws, plane);
+  return plane;
+}
+
+VPinvMemoStats v_pinv_memo_stats() { return v_pinv_memo().stats; }
 
 SmacofResult smacof_2d(const Matrix& dist, const Matrix& w, const SmacofOptions& opts,
                        uwp::Rng& rng, const std::optional<std::vector<Vec2>>& init) {
@@ -154,31 +279,8 @@ void smacof_2d_into(SmacofResult& out, const Matrix& dist, const Matrix& w,
     return;
   }
 
-  // V = diag(sum_j w_ij) - W; pseudo-inverse handles the rank deficiency
-  // from translation invariance (and disconnected graphs). Reused verbatim
-  // when the weight matrix is the one already cached.
   const std::size_t np = simd::padded(n);
-  if (!(ws.v_pinv_valid && ws.cached_w == w)) {
-    Matrix& v = ws.v;
-    v.assign(n, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      double diag = 0.0;
-      for (std::size_t j = 0; j < n; ++j) {
-        if (j == i) continue;
-        v(i, j) = -w(i, j);
-        diag += w(i, j);
-      }
-      v(i, i) = diag;
-    }
-    pseudo_inverse_symmetric_into(v, ws.v_pinv, ws.mds.eigen);
-    ws.vp_pad.assign(np * np, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::span<const double> prow = ws.v_pinv.row(i);
-      std::copy(prow.begin(), prow.end(), ws.vp_pad.begin() + i * np);
-    }
-    ws.cached_w = w;
-    ws.v_pinv_valid = true;
-  }
+  const double* const vp = smacof_v_pinv(w, ws);
   build_links(ws.links, dist, w);
   // The previous solve may have had a different link pattern: clear the whole
   // padded B plane so non-link (and pad) entries are exactly zero again.
@@ -202,7 +304,7 @@ void smacof_2d_into(SmacofResult& out, const Matrix& dist, const Matrix& w,
 
   bool have = false;
   for (std::size_t s = 0; s < num_starts; ++s) {
-    run_from(ws.scratch, ws.starts[s], opts, ws);
+    run_from(ws.scratch, ws.starts[s], opts, vp, ws);
     if (!have || ws.scratch.stress < out.stress) {
       std::swap(out, ws.scratch);
       have = true;

@@ -60,16 +60,14 @@ struct LinkSoA {
   std::size_t padded = 0;  // count rounded up to simd::kLanes
 };
 
-// Reusable scratch for smacof_2d_into. Also caches V^+ keyed on the exact
-// weight matrix: the pseudoinverse is a pure function of the weights, so a
-// repeat of the previous weight pattern (the common fully-connected round)
-// skips the Jacobi eigendecomposition with bit-identical results.
+// Reusable scratch for smacof_2d_into. V^+ lives in the calling thread's
+// memo when the weights are a 0/1 link pattern (see smacof_v_pinv), so a
+// workspace holds only per-call buffers: `v`/`v_pinv`/`vp_pad` are filled
+// on a memo miss or for weights the memo does not key.
 struct SmacofWorkspace {
   Matrix v, v_pinv;
-  Matrix cached_w;
-  bool v_pinv_valid = false;
   LinkSoA links;                   // per-call link SoA
-  std::vector<double> vp_pad;      // padded row-major copy of v_pinv
+  std::vector<double> vp_pad;      // padded copy of v_pinv (uncached weights)
   std::vector<double> x, y;        // SoA iterate (padded, pad lanes zero)
   std::vector<double> bx_x, bx_y;  // B(X) X product (padded)
   std::vector<double> b_pad;       // padded Guttman B matrix
@@ -79,6 +77,26 @@ struct SmacofWorkspace {
   SmacofResult scratch;            // per-start solve buffer
   ClassicalMdsWorkspace mds;       // classical-MDS seed + eigen scratch
 };
+
+// V^+ of the Guttman transform for weights `w`: the pseudo-inverse of
+// V = diag(sum_j w_ij) - W as a padded row-major plane of row stride
+// simd::padded(n), pad entries exactly zero. When `w` is n <= 8 and every
+// off-diagonal weight is exactly 0.0 or 1.0 and symmetric, V^+ is a pure
+// function of (n, link mask), and the plane comes from a bounded per-thread
+// memo (2,048 sets x 4 ways, LRU within a set, 512 B per plane, so at most
+// 4 MB per solving thread); the diagonal of `w` is ignored, as V never reads
+// it. Any other `w` is decomposed on every call. Either way the bits are
+// those of pseudo_inverse_symmetric(V). The pointer is valid until the next
+// call on this thread or with this workspace.
+const double* smacof_v_pinv(const Matrix& w, SmacofWorkspace& ws);
+
+// The calling thread's V^+ memo counters: lookups served from the memo,
+// lookups that computed and stored a plane, and calls whose weights the
+// memo does not key.
+struct VPinvMemoStats {
+  std::uint64_t hits = 0, misses = 0, uncached = 0;
+};
+VPinvMemoStats v_pinv_memo_stats();
 
 // Workspace variant of smacof_2d: bit-identical results, all scratch in `ws`
 // and `out` (no steady-state allocation). `init` may be null.

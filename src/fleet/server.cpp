@@ -148,7 +148,8 @@ ServerResult Server::serve(Transport& transport, SessionRecorder* recorder,
   const IngestScheduler::Dispatch dispatch = [&](IngestFrame&& f, bool shed,
                                                  double decide_s) {
     const std::size_t w = static_cast<std::size_t>(f.session_id) % workers;
-    if (ingest_tel != nullptr)
+    // size() takes the queue's lock: only a timed run pays for the sample.
+    if (ingest_tel != nullptr && ingest_tel->timing_enabled())
       ingest_tel->sample(telemetry::Sample::kQueueDepth,
                          static_cast<double>(queues[w]->size()));
     WorkItem item;

@@ -419,6 +419,43 @@ TEST(FleetServer, HugeDtFrameDoesNotPoisonTheSession) {
         << "round " << w;
 }
 
+// The queue-depth sample takes the dispatch queue's lock on every frame, so
+// only a run that asked for timings records it; turning timing off removes
+// it without moving a counter, digest or schedule.
+TEST(FleetServer, TimingOffServeRecordsNoQueueDepthSamples) {
+  const std::vector<sim::GroupScenario> workload =
+      sim::make_workload(small_params(24, 0x7D0Fu));
+  ServerOptions so;
+  so.master_seed = 0x51u;
+  so.workers = 2;
+
+  const auto serve_with = [&](bool timing, ServerResult& res) {
+    telemetry::TelemetryOptions topts;
+    topts.enabled = true;
+    topts.timing = timing;
+    telemetry::Collector col(topts);
+    Server server(so, workload);
+    RingBufferTransport transport(64);
+    std::thread feeder([&] { feed_workload(transport, workload, so.master_seed, {}); });
+    res = server.serve(transport, nullptr, &col);
+    feeder.join();
+    return col.report();
+  };
+  ServerResult off_res, on_res;
+  const telemetry::TelemetryReport off = serve_with(false, off_res);
+  const telemetry::TelemetryReport on = serve_with(true, on_res);
+
+  const auto queue_depth = [](const telemetry::TelemetryReport& r) {
+    return r.samples[static_cast<std::size_t>(telemetry::Sample::kQueueDepth)].count();
+  };
+  EXPECT_EQ(queue_depth(off), 0u);
+  // Unshaped: every received frame is dispatched once.
+  EXPECT_EQ(queue_depth(on), on_res.stats.frames_received);
+  EXPECT_TRUE(off.counters_equal(on));
+  expect_bit_identical(off_res.fleet, on_res.fleet);
+  EXPECT_EQ(off_res.schedule_digest, on_res.schedule_digest);
+}
+
 TEST(FleetServer, RejectsUnknownSessionIdAndMalformedFrames) {
   const std::vector<sim::GroupScenario> workload =
       sim::make_workload(small_params(4, 0x21u));

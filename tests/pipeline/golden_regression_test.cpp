@@ -213,11 +213,16 @@ void check_search_threads_case(LocalizerGoldenCase c) {
 }
 
 TEST(GoldenLocalizer, PrunedSearchBitIdenticalWithSearchThreads) {
-  check_search_threads_case({golden::fixture_pruned_input(),
-                             golden::fixture_pruned_options(), kPruned_xy, kPruned_stress,
-                             true, 32, true, {{3, 11}, {7, 15}}});
-  check_search_threads_case({golden::fixture_outlier_input(), {}, kOutlier_xy,
-                             kOutlier_stress, false, 6, true, {{2, 3}, {2, 5}}});
+  // Twice in one process: the second pass finds the V^+ planes the first
+  // computed on this thread in its memo, and the goldens must still hold.
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE(pass == 0 ? "first pass" : "memo-warm pass");
+    check_search_threads_case({golden::fixture_pruned_input(),
+                               golden::fixture_pruned_options(), kPruned_xy,
+                               kPruned_stress, true, 32, true, {{3, 11}, {7, 15}}});
+    check_search_threads_case({golden::fixture_outlier_input(), {}, kOutlier_xy,
+                               kOutlier_stress, false, 6, true, {{2, 3}, {2, 5}}});
+  }
 }
 
 TEST(GoldenScenario, SimFastRoundMatchesPreRefactorCapture) {
