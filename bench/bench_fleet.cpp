@@ -13,10 +13,13 @@
 //                    entry each for the p50/p99/p999 round latency, and a
 //                    second rate entry for the same run with telemetry
 //                    instrumentation on — the pair CI compares to pin the
-//                    instrumentation overhead (< 3%), each the median of
-//                    5 alternating off/on runs. Rates, counts and
+//                    instrumentation overhead (< 3% process CPU time per
+//                    round, "cpu_time"), each the median of 5 alternating
+//                    off/on repetitions of >= 1 s. Rates, counts and
 //                    errors (coast/evict/shed rates, control actions, SLO
 //                    entries) are "value" entries with a "unit"
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <map>
@@ -35,6 +38,16 @@
 #include "util/thread_pool.hpp"
 
 namespace {
+
+// CPU time of the whole process (every thread), user plus system.
+double process_cpu_seconds() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  const auto seconds = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) + 1e-6 * static_cast<double>(tv.tv_usec);
+  };
+  return seconds(ru.ru_utime) + seconds(ru.ru_stime);
+}
 
 uwp::fleet::FleetResult run_fleet(const std::vector<uwp::sim::GroupScenario>& workload,
                                   std::size_t shards,
@@ -128,35 +141,46 @@ int main(int argc, char** argv) {
   if (flags.json) {
     // The headline run and the same run with the full telemetry plane
     // attached (counters, span timers into per-stream histograms, flight
-    // ring). items_per_second(run_telemetry) / items_per_second(run) is
-    // the instrumentation overhead CI pins, so each side reports the
-    // median-rate run of kOverheadReps alternating off/on runs: one pair
-    // on a shared machine is mostly noise, and alternating gives neither
-    // side the warmer caches of running second.
+    // ring). The process CPU time per round of the two is the
+    // instrumentation overhead CI pins. Each side reports the median of
+    // kOverheadReps alternating off/on repetitions, and a repetition repeats
+    // the run until it has lasted kMinRepSeconds: on a shared machine one
+    // short pair is mostly noise, wall-clock rate swings by more than the
+    // 3% being gated, and alternating gives neither side the warmer caches
+    // of running second.
     constexpr std::size_t kOverheadReps = 5;
+    constexpr double kMinRepSeconds = 1.0;
     struct TimedRun {
-      uwp::fleet::FleetResult result;
-      uwp::sim::RateLatency rl;
-      std::unique_ptr<uwp::telemetry::Collector> collector;
+      uwp::fleet::FleetResult result;  // the repetition's last run
+      std::unique_ptr<uwp::telemetry::Collector> collector;  // of that run
+      std::size_t rounds = 0;          // over every run of the repetition
+      double wall_s = 0.0, cpu_s = 0.0;
+      uwp::sim::RateLatency rl;        // rate over the repetition
     };
     std::vector<TimedRun> off_runs, on_runs;
     for (std::size_t rep = 0; rep < kOverheadReps; ++rep) {
       for (const bool telemetry : {false, true}) {
         TimedRun t;
-        if (telemetry) {
-          uwp::telemetry::TelemetryOptions topts;
-          topts.enabled = true;
-          t.collector = std::make_unique<uwp::telemetry::Collector>(topts);
+        while (t.wall_s < kMinRepSeconds) {
+          if (telemetry) {
+            uwp::telemetry::TelemetryOptions topts;
+            topts.enabled = true;
+            t.collector = std::make_unique<uwp::telemetry::Collector>(topts);
+          }
+          const double cpu0 = process_cpu_seconds();
+          t.result = run_fleet(workload, shards, t.collector.get());
+          t.cpu_s += process_cpu_seconds() - cpu0;
+          t.wall_s += t.result.wall_seconds;
+          t.rounds += t.result.rounds;
         }
-        t.result = run_fleet(workload, shards, t.collector.get());
-        t.rl = uwp::sim::rate_latency(t.result.rounds, t.result.wall_seconds,
-                                      t.result.round_latency_s);
+        t.rl = uwp::sim::rate_latency(t.rounds, t.wall_s, t.result.round_latency_s);
         (telemetry ? on_runs : off_runs).push_back(std::move(t));
       }
     }
     const auto median_run = [](std::vector<TimedRun>& runs) -> TimedRun& {
       std::sort(runs.begin(), runs.end(), [](const TimedRun& a, const TimedRun& b) {
-        return a.rl.rounds_per_sec < b.rl.rounds_per_sec;
+        return a.cpu_s / static_cast<double>(a.rounds) <
+               b.cpu_s / static_cast<double>(b.rounds);
       });
       return runs[runs.size() / 2];
     };
@@ -182,8 +206,8 @@ int main(int argc, char** argv) {
     char name[64];
     std::snprintf(name, sizeof(name), "fleet/%zusessions", sessions);
     uwp::sim::BenchJsonReporter report;
-    report.add_with_rate(std::string(name) + "/run", r.wall_seconds, r.rounds,
-                         rl.rounds_per_sec);
+    report.add_with_rate(std::string(name) + "/run", off_median.wall_s,
+                         off_median.rounds, rl.rounds_per_sec, off_median.cpu_s);
     report.add(std::string(name) + "/round_p50", rl.p50_s);
     report.add(std::string(name) + "/round_p99", rl.p99_s);
     report.add(std::string(name) + "/round_p999", rl.p999_s);
@@ -191,8 +215,8 @@ int main(int argc, char** argv) {
                      static_cast<double>(r.coasts) / rounds, "coasts/round");
     report.add_value(std::string(name) + "/evict_rate",
                      static_cast<double>(r.sessions.size()) / rounds, "evicts/round");
-    report.add_with_rate(std::string(name) + "/run_telemetry", rt.wall_seconds,
-                         rt.rounds, rlt.rounds_per_sec);
+    report.add_with_rate(std::string(name) + "/run_telemetry", on_median.wall_s,
+                         on_median.rounds, rlt.rounds_per_sec, on_median.cpu_s);
 
     // Bursty-overload serve pair: the same shaped schedule with the control
     // plane off vs on. CI compares shed rates (control must shed less) and

@@ -22,6 +22,7 @@
 #include "phy/convolutional.hpp"
 #include "phy/ofdm_preamble.hpp"
 #include "phy/preamble_detector.hpp"
+#include "util/linalg.hpp"
 #include "util/random.hpp"
 #include "util/simd_kernels.hpp"
 
@@ -76,10 +77,6 @@ std::pair<uwp::Matrix, uwp::Matrix> mds_problem(std::size_t n, uwp::Rng& rng) {
   return {d, uwp::Matrix::ones(n, n)};
 }
 
-// One weight pattern solved over and over on one thread: after the first
-// iteration V^+ comes from the thread's memo, so at 5 and 8 devices this is
-// the memo-hit solve. 12 devices are past the memo's 8 and decompose V on
-// every solve.
 void BM_Smacof(benchmark::State& state) {
   uwp::Rng rng(5);
   const auto [d, w] = mds_problem(static_cast<std::size_t>(state.range(0)), rng);
@@ -90,15 +87,14 @@ void BM_Smacof(benchmark::State& state) {
 }
 BENCHMARK(BM_Smacof)->Arg(5)->Arg(8)->Arg(12);
 
-// V^+ lookups for 8-device K8-minus-5 candidate patterns, the work a
-// candidate solve spends before its first Guttman iteration. The miss row
-// walks all 98,280 patterns in order, resuming where the previous batch
-// stopped: that is twelve times the memo's 8,192 slots, so LRU has evicted
-// a pattern long before it comes round again and every lookup runs the
-// Jacobi pseudo-inverse. The hit row repeats one pattern. Their difference
-// is what the memo saves per candidate solve ("hit_rate" shows which path
-// ran).
-void vpinv_lookups(benchmark::State& state, bool fresh) {
+// V^+ of 8-device K8-minus-5 candidate patterns, the work a candidate solve
+// spends before its first Guttman iteration. Each iteration takes the next
+// of all 98,280 patterns (every one connected: K8 loses no node to 5
+// dropped links). The Cholesky row is smacof_v_pinv's connected path; the
+// Jacobi row builds the same V and runs the eigendecomposition-based
+// pseudo-inverse every solve used before. Their difference is the V^+
+// layer's share of a candidate solve.
+void vpinv_patterns(benchmark::State& state, bool cholesky) {
   static const std::vector<std::array<std::uint8_t, 5>> drops = [] {
     std::vector<std::array<std::uint8_t, 5>> out;
     for (std::uint8_t a = 0; a < 28; ++a)
@@ -108,36 +104,48 @@ void vpinv_lookups(benchmark::State& state, bool fresh) {
             for (std::uint8_t e = d + 1; e < 28; ++e) out.push_back({a, b, c, d, e});
     return out;
   }();
-  static std::size_t next = 0;
   std::vector<std::pair<std::size_t, std::size_t>> links;
   for (std::size_t i = 0; i < 8; ++i)
     for (std::size_t j = i + 1; j < 8; ++j) links.emplace_back(i, j);
   uwp::Matrix w = uwp::Matrix::ones(8, 8);
+  for (std::size_t i = 0; i < 8; ++i) w(i, i) = 0.0;
   const auto set_links = [&](const std::array<std::uint8_t, 5>& drop, double value) {
     for (const std::size_t l : drop)
       w(links[l].first, links[l].second) = w(links[l].second, links[l].first) = value;
   };
   uwp::core::SmacofWorkspace ws;
-  const uwp::core::VPinvMemoStats before = uwp::core::v_pinv_memo_stats();
+  uwp::Matrix v(8, 8), v_pinv;
+  uwp::EigenWorkspace eigen;
+  std::size_t next = 0;
   for (auto _ : state) {
-    const std::array<std::uint8_t, 5>& drop = drops[fresh ? next : 0];
-    if (fresh && ++next == drops.size()) next = 0;
+    const std::array<std::uint8_t, 5>& drop = drops[next];
+    if (++next == drops.size()) next = 0;
     set_links(drop, 0.0);
-    benchmark::DoNotOptimize(uwp::core::smacof_v_pinv(w, ws));
+    if (cholesky) {
+      benchmark::DoNotOptimize(uwp::core::smacof_v_pinv(w, ws));
+    } else {
+      for (std::size_t i = 0; i < 8; ++i) {
+        double diag = 0.0;
+        for (std::size_t j = 0; j < 8; ++j) {
+          if (j == i) continue;
+          v(i, j) = -w(i, j);
+          diag += w(i, j);
+        }
+        v(i, i) = diag;
+      }
+      uwp::pseudo_inverse_symmetric_into(v, v_pinv, eigen);
+      benchmark::DoNotOptimize(v_pinv.data().data());
+    }
+    benchmark::ClobberMemory();
     set_links(drop, 1.0);
   }
-  const uwp::core::VPinvMemoStats after = uwp::core::v_pinv_memo_stats();
-  const double lookups = static_cast<double>(after.hits + after.misses -
-                                             before.hits - before.misses);
-  state.counters["hit_rate"] =
-      lookups > 0 ? static_cast<double>(after.hits - before.hits) / lookups : 0.0;
 }
 
-void BM_SmacofVPinvMiss(benchmark::State& state) { vpinv_lookups(state, true); }
-BENCHMARK(BM_SmacofVPinvMiss);
+void BM_VPinvCholesky(benchmark::State& state) { vpinv_patterns(state, true); }
+BENCHMARK(BM_VPinvCholesky);
 
-void BM_SmacofVPinvHit(benchmark::State& state) { vpinv_lookups(state, false); }
-BENCHMARK(BM_SmacofVPinvHit);
+void BM_VPinvJacobi(benchmark::State& state) { vpinv_patterns(state, false); }
+BENCHMARK(BM_VPinvJacobi);
 
 void BM_ClassicalMds(benchmark::State& state) {
   uwp::Rng rng(7);

@@ -119,7 +119,7 @@ void fields(F& f, sensors::PointingModel& p) {
 template <class F>
 void fields(F& f, core::SmacofOptions& s) {
   f("max_iterations", s.max_iterations);
-  f("rel_tolerance", s.rel_tolerance);
+  f("tolerance_m", s.tolerance_m);
   f("random_restarts", s.random_restarts);
   f("init_spread", s.init_spread);
 }
@@ -588,8 +588,8 @@ std::vector<std::string> validate(const ScenarioSpec& spec) {
   if (out.max_outliers < 0) err("round.localizer.outlier.max_outliers", "must be >= 0");
   if (out.smacof.max_iterations < 1)
     err("round.localizer.outlier.smacof.max_iterations", "must be >= 1");
-  if (!finite(out.smacof.rel_tolerance) || out.smacof.rel_tolerance <= 0.0)
-    err("round.localizer.outlier.smacof.rel_tolerance", "must be > 0");
+  if (!finite(out.smacof.tolerance_m) || out.smacof.tolerance_m <= 0.0)
+    err("round.localizer.outlier.smacof.tolerance_m", "must be > 0");
   if (out.smacof.random_restarts < 0)
     err("round.localizer.outlier.smacof.random_restarts", "must be >= 0");
   if (!finite(out.smacof.init_spread) || out.smacof.init_spread <= 0.0)

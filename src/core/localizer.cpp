@@ -31,6 +31,8 @@ void Localizer::localize_into(LocalizationResult& out, const LocalizationInput& 
   // (warm started when the caller has a predicted layout).
   localize_with_outlier_detection_into(ws.topo, ws.d2d, input.weights, opts_.outlier,
                                        rng, ws.outlier, warm_init);
+  if (!std::isfinite(ws.topo.normalized_stress))
+    throw std::domain_error("Localizer: non-finite stress (non-finite distances?)");
 
   // Step 3: fix translation, rotation, and flip (§2.1.4).
   std::vector<Vec2>& pts = ws.pts;

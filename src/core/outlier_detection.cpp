@@ -78,7 +78,11 @@ void localize_with_outlier_detection_into(OutlierResult& out, const Matrix& dist
   out.positions.assign(base.positions.begin(), base.positions.end());
   out.normalized_stress = base.normalized_stress;
   out.iterations = base.iterations;
-  if (base.normalized_stress < opts.stress_threshold) return;
+  // A clean fit needs no search, and neither does a non-finite one (NaN or
+  // inf input): no candidate can repair it, and the caller fails the round.
+  if (!std::isfinite(base.normalized_stress) ||
+      base.normalized_stress < opts.stress_threshold)
+    return;
 
   out.outliers_suspected = true;
 

@@ -66,12 +66,10 @@ struct OutlierResult {
   std::int64_t iterations = 0;
 };
 
-// Reusable scratch for localize_with_outlier_detection_into. V^+ of every
-// base and candidate weight pattern comes from the solving thread's memo
-// (see smacof_v_pinv), shared by every round and session that thread
-// serves: a candidate search revisits the drop patterns earlier searches
-// on the same base graph walked, and candidates can evict the base pattern
-// like any other.
+// Reusable scratch for localize_with_outlier_detection_into. Each solve
+// computes its own V^+ in its SmacofWorkspace (a Cholesky factorization
+// when the candidate's link graph stays connected, see smacof_v_pinv), so
+// nothing is shared between lanes, rounds or sessions.
 struct OutlierWorkspace {
   SmacofWorkspace smacof_base;
   SmacofResult base;
@@ -102,8 +100,10 @@ struct OutlierWorkspace {
 // distance matrix, `weights` the initial link indicator matrix. When `init`
 // is given (a predicted layout from a tracker, say) the base solve warm
 // starts from it with no random restarts — no rng draws — instead of the
-// cold classical-MDS + restarts seed. All scratch lives in `ws`: no
-// steady-state heap traffic on clean (below-threshold) rounds.
+// cold classical-MDS + restarts seed. A non-finite base stress (a NaN or inf
+// distance on a link) skips the search and is returned as is. All scratch
+// lives in `ws`: no steady-state heap traffic on clean (below-threshold)
+// rounds.
 void localize_with_outlier_detection_into(OutlierResult& out, const Matrix& dist,
                                           const Matrix& weights,
                                           const OutlierOptions& opts, uwp::Rng& rng,

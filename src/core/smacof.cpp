@@ -1,9 +1,8 @@
 #include "core/smacof.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
-#include <memory>
+#include <limits>
 #include <stdexcept>
 
 #include "util/linalg.hpp"
@@ -88,9 +87,13 @@ void run_from(SmacofResult& res, const std::vector<Vec2>& start,
   double* const bvals = ws.bvals.data();
   double* const b = ws.b_pad.data();
 
+  const auto rms = [&](double s) {
+    return links.count > 0 ? std::sqrt(s / static_cast<double>(links.count)) : 0.0;
+  };
   double stress = kernels::link_stress<Ops>(x, y, links.i.data(), links.j.data(),
                                             links.w.data(), links.d.data(), dij,
                                             links.padded);
+  double residual = rms(stress);
   for (int iter = 0; iter < opts.max_iterations; ++iter) {
     // Guttman transform: B(X) then X <- V^+ B(X) X. Link distances come from
     // the stress evaluation of the same configuration (computed once).
@@ -113,108 +116,23 @@ void run_from(SmacofResult& res, const std::vector<Vec2>& start,
     const double new_stress = kernels::link_stress<Ops>(
         x, y, links.i.data(), links.j.data(), links.w.data(), links.d.data(), dij,
         links.padded);
+    const double new_residual = rms(new_stress);
     res.iterations = iter + 1;
-    if (stress - new_stress <= opts.rel_tolerance * std::max(stress, 1e-30)) {
-      stress = new_stress;
-      break;
-    }
+    // Written so that a NaN residual (non-finite input) stops the solve too.
+    const bool converged = !(residual - new_residual > opts.tolerance_m);
     stress = new_stress;
+    residual = new_residual;
+    if (converged) break;
   }
   res.stress = stress;
-  res.normalized_stress =
-      res.num_links > 0 ? std::sqrt(stress / static_cast<double>(res.num_links)) : 0.0;
+  res.normalized_stress = residual;
   res.positions.resize(n);
   for (std::size_t k = 0; k < n; ++k) res.positions[k] = {x[k], y[k]};
 }
 
-// The memo behind smacof_v_pinv. Algorithm 1 re-solves the same few
-// thousand drop patterns of each base graph (a K8 base walks 3,682 of them),
-// so a thread keeps every plane it computes until LRU pushes it out of its
-// set. Planes are handed out in fill order from 32 KB chunks allocated on
-// demand, so a thread's memo grows with the patterns it has seen (a
-// 5-device workload fills a few hundred KB). Every block stays under
-// malloc's mmap threshold: a multi-MB block freed at each thread exit
-// would raise that threshold for the whole process and keep later large
-// buffers resident.
-class VPinvMemo {
- public:
-  static constexpr std::size_t kMaxNodes = 8;
-  static constexpr std::size_t kPlane = kMaxNodes * kMaxNodes;
-  static constexpr std::size_t kWays = 4;
-  static constexpr unsigned kSetBits = 11;  // 2,048 sets, 8,192 slots
-  static constexpr std::size_t kChunkPlanes = 64;
-  static constexpr std::size_t kChunks = (kWays << kSetBits) / kChunkPlanes;
-
-  // The plane stored under `key` (hit = true), or else the least recently
-  // used plane of its set, now stored under `key` for the caller to fill.
-  double* lookup(std::uint32_t key, bool& hit) {
-    if (!sets_) sets_.reset(new Set[std::size_t{1} << kSetBits]());
-    Set& set = sets_[(key * 0x9E3779B1u) >> (32 - kSetBits)];
-    // Ways are kept most recently used first; empty ways (key 0) trail.
-    std::size_t way = 0;
-    while (way + 1 < kWays && set.key[way] != key) ++way;
-    hit = set.key[way] == key;
-    if (hit) {
-      ++stats.hits;
-    } else {
-      ++stats.misses;
-      if (set.key[way] == 0) set.plane[way] = planes_used_++;
-    }
-    const std::uint16_t plane = set.plane[way];
-    for (; way > 0; --way) {
-      set.key[way] = set.key[way - 1];
-      set.plane[way] = set.plane[way - 1];
-    }
-    set.key[0] = key;
-    set.plane[0] = plane;
-    std::unique_ptr<double[]>& chunk = chunks_[plane / kChunkPlanes];
-    if (!chunk) chunk.reset(new double[kChunkPlanes * kPlane]);
-    return &chunk[plane % kChunkPlanes * kPlane];
-  }
-
-  VPinvMemoStats stats;
-
- private:
-  struct Set {
-    std::uint32_t key[kWays];    // 0 = empty (a key has n >= 2)
-    std::uint16_t plane[kWays];  // plane index, assigned at first fill
-  };
-  std::unique_ptr<Set[]> sets_;
-  std::array<std::unique_ptr<double[]>, kChunks> chunks_;
-  std::uint16_t planes_used_ = 0;
-};
-
-VPinvMemo& v_pinv_memo() {
-  thread_local VPinvMemo memo;
-  return memo;
-}
-
-// The memo key (n << 28 | upper-triangle link mask) of a symmetric 0/1
-// weight pattern with 2 <= n <= 8, or 0 when `w` is anything else. Zeros
-// must be +0.0: V = -W would otherwise differ in the sign of a zero.
-std::uint32_t link_pattern_key(const Matrix& w) {
+// V = diag(sum_j w_ij) - W.
+void build_v(const Matrix& w, Matrix& v) {
   const std::size_t n = w.rows();
-  if (n < 2 || n > VPinvMemo::kMaxNodes) return 0;
-  const auto unit = [](double x) { return x == 1.0 || (x == 0.0 && !std::signbit(x)); };
-  std::uint32_t mask = 0;
-  unsigned bit = 0;
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = i + 1; j < n; ++j, ++bit) {
-      const double a = w(i, j);
-      const double b = w(j, i);
-      if (!unit(a) || !unit(b) || a != b) return 0;
-      if (a == 1.0) mask |= 1u << bit;
-    }
-  return static_cast<std::uint32_t>(n) << 28 | mask;
-}
-
-// V = diag(sum_j w_ij) - W; the pseudo-inverse handles the rank deficiency
-// from translation invariance (and disconnected graphs). Writes the padded
-// plane (row stride np, pad entries zero) to `plane`.
-void compute_v_pinv(const Matrix& w, SmacofWorkspace& ws, double* plane) {
-  const std::size_t n = w.rows();
-  const std::size_t np = simd::padded(n);
-  Matrix& v = ws.v;
   v.assign(n, n);
   for (std::size_t i = 0; i < n; ++i) {
     double diag = 0.0;
@@ -225,33 +143,97 @@ void compute_v_pinv(const Matrix& w, SmacofWorkspace& ws, double* plane) {
     }
     v(i, i) = diag;
   }
-  pseudo_inverse_symmetric_into(v, ws.v_pinv, ws.mds.eigen);
-  std::fill(plane, plane + np * np, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::span<const double> prow = ws.v_pinv.row(i);
-    std::copy(prow.begin(), prow.end(), plane + i * np);
+}
+
+// True when the w > 0 links join all n nodes (breadth-first search from
+// node 0). Then V, symmetric with zero row sums, has null space exactly
+// span(1), and V + 11^T/n is nonsingular.
+bool links_connected(const Matrix& w, SmacofWorkspace& ws) {
+  const std::size_t n = w.rows();
+  ws.seen.assign(n, 0);
+  ws.bfs.assign(1, 0);
+  ws.seen[0] = 1;
+  for (std::size_t head = 0; head < ws.bfs.size(); ++head) {
+    const std::span<const double> row = w.row(ws.bfs[head]);
+    for (std::size_t j = 0; j < n; ++j)
+      if (row[j] > 0.0 && !ws.seen[j]) {
+        ws.seen[j] = 1;
+        ws.bfs.push_back(static_cast<std::uint32_t>(j));
+      }
   }
+  return ws.bfs.size() == n;
+}
+
+// V^+ = (V + 11^T/n)^-1 - 11^T/n for connected weights, into the zeroed
+// padded plane: A = V + 11^T/n = L L^T (Cholesky, L in the lower triangle of
+// ws.v), M = L^-1 (lower triangle of ws.v_pinv), A^-1 = M^T M. False, with
+// the plane untouched, if a pivot is not a positive finite number: A is not
+// positive definite (negative weights) or breaks down in floating point
+// (non-finite or extreme weights).
+bool cholesky_v_pinv(const Matrix& w, SmacofWorkspace& ws, double* plane) {
+  const std::size_t n = w.rows();
+  const std::size_t np = simd::padded(n);
+  const double shift = 1.0 / static_cast<double>(n);
+  Matrix& l = ws.v;
+  l.assign(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double diag = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (j == i) continue;
+      if (j < i) l(i, j) = shift - w(i, j);
+      diag += w(i, j);
+    }
+    l(i, i) = diag + shift;
+  }
+  // The diagonal of M = L^-1 is 1 / L(j, j); multiplying by it replaces
+  // every division of both triangular passes.
+  Matrix& m = ws.v_pinv;
+  m.assign(n, n);
+  for (std::size_t j = 0; j < n; ++j) {
+    double d = l(j, j);
+    for (std::size_t k = 0; k < j; ++k) d -= l(j, k) * l(j, k);
+    if (!(d > 0.0 && d <= std::numeric_limits<double>::max())) return false;
+    l(j, j) = std::sqrt(d);
+    m(j, j) = 1.0 / l(j, j);
+    for (std::size_t i = j + 1; i < n; ++i) {
+      double s = l(i, j);
+      for (std::size_t k = 0; k < j; ++k) s -= l(i, k) * l(j, k);
+      l(i, j) = s * m(j, j);
+    }
+  }
+  for (std::size_t i = 1; i < n; ++i)
+    for (std::size_t j = 0; j < i; ++j) {
+      double s = 0.0;
+      for (std::size_t k = j; k < i; ++k) s += l(i, k) * m(k, j);
+      m(i, j) = -s * m(i, i);
+    }
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i; j < n; ++j) {
+      double s = 0.0;
+      for (std::size_t k = j; k < n; ++k) s += m(k, i) * m(k, j);
+      plane[i * np + j] = plane[j * np + i] = s - shift;
+    }
+  return true;
 }
 
 }  // namespace
 
 const double* smacof_v_pinv(const Matrix& w, SmacofWorkspace& ws) {
-  VPinvMemo& memo = v_pinv_memo();
-  const std::uint32_t key = link_pattern_key(w);
-  if (key == 0) {
-    ++memo.stats.uncached;
-    const std::size_t np = simd::padded(w.rows());
-    ws.vp_pad.resize(np * np);
-    compute_v_pinv(w, ws, ws.vp_pad.data());
-    return ws.vp_pad.data();
+  const std::size_t n = w.rows();
+  const std::size_t np = simd::padded(n);
+  ws.vp_pad.assign(np * np, 0.0);
+  double* const plane = ws.vp_pad.data();
+  if (n > 0 && links_connected(w, ws) && cholesky_v_pinv(w, ws, plane)) return plane;
+  // Disconnected graphs: the pseudo-inverse handles every zero eigenvalue,
+  // one per connected component.
+  build_v(w, ws.v);
+  pseudo_inverse_symmetric_into(ws.v, ws.v_pinv, ws.mds.eigen);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::span<const double> prow = ws.v_pinv.row(i);
+    std::copy(prow.begin(), prow.end(), plane + i * np);
   }
-  bool hit = false;
-  double* const plane = memo.lookup(key, hit);
-  if (!hit) compute_v_pinv(w, ws, plane);
   return plane;
 }
-
-VPinvMemoStats v_pinv_memo_stats() { return v_pinv_memo().stats; }
 
 SmacofResult smacof_2d(const Matrix& dist, const Matrix& w, const SmacofOptions& opts,
                        uwp::Rng& rng, const std::optional<std::vector<Vec2>>& init) {

@@ -20,8 +20,11 @@ namespace uwp::core {
 
 struct SmacofOptions {
   int max_iterations = 500;
-  // Stop when the relative stress decrease drops below this.
-  double rel_tolerance = 1e-9;
+  // Stop at the first Guttman iteration that lowers the RMS link residual
+  // sqrt(S / #links) (normalized_stress, meters) by no more than this. Far
+  // below the 0.5-0.9 m ranging noise, so a finer rule buys no accuracy;
+  // a non-finite stress also stops the solve.
+  double tolerance_m = 1e-4;
   // Random restarts tried in addition to the classical-MDS start; the best
   // (lowest stress) solution wins. Guards against local minima when links
   // are missing.
@@ -60,14 +63,15 @@ struct LinkSoA {
   std::size_t padded = 0;  // count rounded up to simd::kLanes
 };
 
-// Reusable scratch for smacof_2d_into. V^+ lives in the calling thread's
-// memo when the weights are a 0/1 link pattern (see smacof_v_pinv), so a
-// workspace holds only per-call buffers: `v`/`v_pinv`/`vp_pad` are filled
-// on a memo miss or for weights the memo does not key.
+// Reusable scratch for smacof_2d_into: every buffer of a solve, V^+
+// included (see smacof_v_pinv), so a warm workspace solves without heap
+// traffic.
 struct SmacofWorkspace {
-  Matrix v, v_pinv;
+  Matrix v, v_pinv;                // V and V^+, or Cholesky L and L^-1
   LinkSoA links;                   // per-call link SoA
-  std::vector<double> vp_pad;      // padded copy of v_pinv (uncached weights)
+  std::vector<double> vp_pad;      // padded V^+ plane
+  std::vector<std::uint32_t> bfs;  // link-graph search queue
+  std::vector<std::uint8_t> seen;  // link-graph search marks
   std::vector<double> x, y;        // SoA iterate (padded, pad lanes zero)
   std::vector<double> bx_x, bx_y;  // B(X) X product (padded)
   std::vector<double> b_pad;       // padded Guttman B matrix
@@ -78,25 +82,16 @@ struct SmacofWorkspace {
   ClassicalMdsWorkspace mds;       // classical-MDS seed + eigen scratch
 };
 
-// V^+ of the Guttman transform for weights `w`: the pseudo-inverse of
-// V = diag(sum_j w_ij) - W as a padded row-major plane of row stride
-// simd::padded(n), pad entries exactly zero. When `w` is n <= 8 and every
-// off-diagonal weight is exactly 0.0 or 1.0 and symmetric, V^+ is a pure
-// function of (n, link mask), and the plane comes from a bounded per-thread
-// memo (2,048 sets x 4 ways, LRU within a set, 512 B per plane, so at most
-// 4 MB per solving thread); the diagonal of `w` is ignored, as V never reads
-// it. Any other `w` is decomposed on every call. Either way the bits are
-// those of pseudo_inverse_symmetric(V). The pointer is valid until the next
-// call on this thread or with this workspace.
+// V^+ of the Guttman transform for the symmetric weights `w`: the
+// pseudo-inverse of V = diag(sum_j w_ij) - W as a padded row-major plane of
+// row stride simd::padded(n), pad entries exactly zero. When the w > 0 links
+// join every node (checked exactly, by a graph search), V's null space is
+// exactly the constant vector and V^+ = (V + 11^T/n)^-1 - 11^T/n comes from a
+// scalar Cholesky factorization. A disconnected graph, or weights whose
+// factorization breaks down (non-finite ones, or negative ones that leave
+// V + 11^T/n indefinite), takes the Jacobi pseudo_inverse_symmetric path,
+// bit for bit. The diagonal of `w` is ignored. The pointer is valid until the next call with this workspace.
 const double* smacof_v_pinv(const Matrix& w, SmacofWorkspace& ws);
-
-// The calling thread's V^+ memo counters: lookups served from the memo,
-// lookups that computed and stored a plane, and calls whose weights the
-// memo does not key.
-struct VPinvMemoStats {
-  std::uint64_t hits = 0, misses = 0, uncached = 0;
-};
-VPinvMemoStats v_pinv_memo_stats();
 
 // Workspace variant of smacof_2d: bit-identical results, all scratch in `ws`
 // and `out` (no steady-state allocation). `init` may be null.

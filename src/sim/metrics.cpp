@@ -58,17 +58,19 @@ bool BenchJsonReporter::requested(int argc, char** argv) {
 
 void BenchJsonReporter::add(const std::string& name, double real_seconds,
                             std::size_t iterations) {
-  entries_.push_back({name, real_seconds, iterations, 0.0, 0.0, {}});
+  entries_.push_back({name, real_seconds, -1.0, iterations, 0.0, 0.0, {}});
 }
 
 void BenchJsonReporter::add_with_rate(const std::string& name, double real_seconds,
-                                      std::size_t iterations, double items_per_second) {
-  entries_.push_back({name, real_seconds, iterations, items_per_second, 0.0, {}});
+                                      std::size_t iterations, double items_per_second,
+                                      double cpu_seconds) {
+  entries_.push_back(
+      {name, real_seconds, cpu_seconds, iterations, items_per_second, 0.0, {}});
 }
 
 void BenchJsonReporter::add_value(const std::string& name, double value,
                                   const std::string& unit) {
-  entries_.push_back({name, 0.0, 1, 0.0, value, unit});
+  entries_.push_back({name, 0.0, -1.0, 1, 0.0, value, unit});
 }
 
 void BenchJsonReporter::write() const {
@@ -93,9 +95,11 @@ void BenchJsonReporter::write() const {
       std::printf("      \"value\": %.6e,\n", e.value);
       std::printf("      \"unit\": \"%s\"\n", e.unit.c_str());
     } else {
-      const double per_iter_ms = e.seconds / static_cast<double>(e.iterations) * 1e3;
+      const double iters = static_cast<double>(e.iterations);
+      const double per_iter_ms = e.seconds / iters * 1e3;
       std::printf("      \"real_time\": %.6e,\n", per_iter_ms);
-      std::printf("      \"cpu_time\": %.6e,\n", per_iter_ms);
+      std::printf("      \"cpu_time\": %.6e,\n",
+                  e.cpu_seconds >= 0.0 ? e.cpu_seconds / iters * 1e3 : per_iter_ms);
       if (e.items_per_second > 0.0)
         std::printf("      \"items_per_second\": %.6e,\n", e.items_per_second);
       std::printf("      \"time_unit\": \"ms\"\n");

@@ -46,8 +46,11 @@ class BenchJsonReporter {
   void add(const std::string& name, double real_seconds, std::size_t iterations = 1);
   // Like add, but also emits google-benchmark's "items_per_second" counter —
   // how bench_fleet reports aggregate rounds/sec next to latency entries.
+  // "cpu_time" is `cpu_seconds` per iteration when given (>= 0), else the
+  // real time.
   void add_with_rate(const std::string& name, double real_seconds,
-                     std::size_t iterations, double items_per_second);
+                     std::size_t iterations, double items_per_second,
+                     double cpu_seconds = -1.0);
   // A non-timing quantity, e.g. add_value("shed_rate", 0.38, "ratio").
   void add_value(const std::string& name, double value, const std::string& unit);
   // Emit the JSON document to stdout.
@@ -57,6 +60,7 @@ class BenchJsonReporter {
   struct Entry {
     std::string name;
     double seconds = 0.0;
+    double cpu_seconds = -1.0;  // < 0: report `seconds`
     std::size_t iterations = 1;
     double items_per_second = 0.0;  // emitted when > 0
     double value = 0.0;             // add_value entries only

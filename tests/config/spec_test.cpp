@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -57,7 +58,7 @@ ScenarioSpec random_spec(uwp::Rng& rng, bool include_nan) {
       static_cast<std::size_t>(rng.uniform_int(0, 8));
   s.round.localizer.outlier.smacof.max_iterations =
       static_cast<int>(rng.uniform_int(1, 1000));
-  s.round.localizer.outlier.smacof.rel_tolerance = rng.uniform(1e-12, 1e-6);
+  s.round.localizer.outlier.smacof.tolerance_m = rng.uniform(1e-6, 1e-2);
   s.round.localizer.outlier.smacof.random_restarts =
       static_cast<int>(rng.uniform_int(0, 5));
   s.round.localizer.outlier.smacof.init_spread = rng.uniform(1.0, 100.0);
@@ -241,21 +242,28 @@ TEST(SpecParse, UnknownAndMistypedFieldsFailWithPaths) {
 // keys of the solver and arena tuners (and their policy gates), and the
 // size of the telemetry event ring.
 TEST(SpecParse, RemovedKeysAreUnknownFields) {
-  const std::pair<const char*, const char*> removed[] = {
-      {"control", "solver"},          {"control", "solver_iters_high"},
-      {"control", "solver_iters_low"}, {"control", "max_search_threads"},
-      {"control", "arena"},           {"control", "shaper"},
-      {"control", "evict_storm"},     {"control", "retain_base"},
-      {"control", "retain_max"},      {"telemetry", "ring_capacity"}};
-  for (const auto& [section, key] : removed) {
-    const std::string json =
-        std::string(R"({")") + section + R"(": {")" + key + R"(": 1}})";
+  const char* const removed[] = {
+      "control.solver",          "control.solver_iters_high",
+      "control.solver_iters_low", "control.max_search_threads",
+      "control.arena",           "control.shaper",
+      "control.evict_storm",     "control.retain_base",
+      "control.retain_max",      "telemetry.ring_capacity",
+      "round.localizer.outlier.smacof.rel_tolerance"};
+  for (const std::string path : removed) {
+    // {"a": {"b": {"key": 1}}} for the dotted path a.b.key.
+    std::string json, closing;
+    for (std::size_t begin = 0, end = 0; begin <= path.size(); begin = end + 1) {
+      end = std::min(path.find('.', begin), path.size());
+      json += R"({")" + path.substr(begin, end - begin) + R"(": )";
+      closing += '}';
+    }
+    json += "1" + closing;
     try {
       parse_spec(json);
       ADD_FAILURE() << "expected SpecError for " << json;
     } catch (const SpecError& e) {
       const std::string what = e.what();
-      EXPECT_NE(what.find(std::string(section) + "." + key), std::string::npos) << what;
+      EXPECT_NE(what.find(path), std::string::npos) << what;
       EXPECT_NE(what.find("unknown field"), std::string::npos) << what;
     }
   }
@@ -352,6 +360,11 @@ TEST(SpecValidate, EachRejectedFieldReportsItsPath) {
     ScenarioSpec s;
     s.round.localizer.outlier.smacof.max_iterations = 0;
     expect_invalid(s, "round.localizer.outlier.smacof.max_iterations");
+  }
+  for (const double tol : {0.0, -1e-4, std::numeric_limits<double>::quiet_NaN()}) {
+    ScenarioSpec s;
+    s.round.localizer.outlier.smacof.tolerance_m = tol;
+    expect_invalid(s, "round.localizer.outlier.smacof.tolerance_m");
   }
   {
     ScenarioSpec s;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include "core/projection.hpp"
 #include "util/random.hpp"
@@ -190,6 +192,33 @@ TEST(Localizer, ThreeDeviceMinimumGroup) {
   const LocalizationResult res = loc.localize(exact_input(t), rng);
   for (std::size_t i = 1; i < 3; ++i)
     EXPECT_LT(distance(res.positions[i].xy(), t.positions[i].xy()), 0.1);
+}
+
+// One NaN or inf distance in an 8-device full-link round used to send every
+// solve to the iteration cap (3,683 solves, ~1.8M iterations). Now each of
+// the base solve's three starts stops after one iteration, no candidate is
+// searched, and the Localizer fails the round instead of reporting NaNs.
+TEST(Localizer, NonFiniteDistanceCostsOneIterationPerStartAndFails) {
+  Truth t;
+  uwp::Rng place(9);
+  t.positions.push_back({0, 0, 1.5});
+  for (int i = 1; i < 8; ++i)
+    t.positions.push_back({place.uniform(-15, 15), place.uniform(-15, 15), 2.0});
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    LocalizationInput in = exact_input(t);
+    in.distances(3, 6) = in.distances(6, 3) = bad;
+    const Matrix d2 = project_to_2d(in.distances, in.depths);
+    const OutlierOptions opts;
+    OutlierWorkspace ws;
+    OutlierResult out;
+    uwp::Rng rng(10);
+    localize_with_outlier_detection_into(out, d2, in.weights, opts, rng, ws);
+    EXPECT_LE(out.iterations, 1 + opts.smacof.random_restarts) << bad;
+    EXPECT_FALSE(std::isfinite(out.normalized_stress)) << bad;
+    EXPECT_TRUE(out.dropped_links.empty()) << bad;
+    EXPECT_THROW(Localizer().localize(in, rng), std::domain_error) << bad;
+  }
 }
 
 }  // namespace

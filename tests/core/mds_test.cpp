@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstring>
-#include <thread>
 #include <vector>
 
 #include "core/mds_classical.hpp"
@@ -168,35 +167,20 @@ TEST(Smacof, WeightedStressIgnoresMissingLinks) {
 }
 
 
-// --- per-thread V^+ memo ----------------------------------------------------
-
-// Runs `f` on a fresh thread, whose V^+ memo starts empty.
-template <class F>
-void on_cold_thread(F f) {
-  std::thread t(f);
-  t.join();
+TEST(Smacof, HugeToleranceStopsAfterOneIteration) {
+  uwp::Rng rng(9);
+  const std::vector<Vec2> truth = random_points(6, rng);
+  SmacofOptions opts;
+  opts.random_restarts = 0;
+  opts.tolerance_m = 1e9;
+  const SmacofResult res = smacof_2d(distance_matrix(truth), Matrix::ones(6, 6), opts, rng,
+                                     std::make_optional(random_points(6, rng)));
+  EXPECT_EQ(res.iterations, 1);
 }
 
-// K8 with links {0-3, 2-5, 6-7} dropped: a candidate pattern of Algorithm 1.
-Matrix k8_minus_three() {
-  Matrix w = Matrix::ones(8, 8);
-  for (std::size_t i = 0; i < 8; ++i) w(i, i) = 0.0;
-  for (const auto& [a, b] : {std::pair{0, 3}, std::pair{2, 5}, std::pair{6, 7}})
-    w(a, b) = w(b, a) = 0.0;
-  return w;
-}
+// --- V^+ ---------------------------------------------------------------------
 
 bool bit_equal(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
-
-void expect_bit_identical(const SmacofResult& a, const SmacofResult& b) {
-  ASSERT_EQ(a.positions.size(), b.positions.size());
-  for (std::size_t i = 0; i < a.positions.size(); ++i) {
-    EXPECT_TRUE(bit_equal(a.positions[i].x, b.positions[i].x)) << "node " << i;
-    EXPECT_TRUE(bit_equal(a.positions[i].y, b.positions[i].y)) << "node " << i;
-  }
-  EXPECT_TRUE(bit_equal(a.stress, b.stress));
-  EXPECT_EQ(a.iterations, b.iterations);
-}
 
 // pseudo_inverse_symmetric of V = diag(sum_j w_ij) - W, padded to the row
 // stride smacof_v_pinv uses.
@@ -220,118 +204,77 @@ std::vector<double> reference_plane(const Matrix& w) {
   return plane;
 }
 
-void expect_plane_is_reference(const double* plane, const Matrix& w) {
-  const std::vector<double> ref = reference_plane(w);
-  for (std::size_t k = 0; k < ref.size(); ++k)
-    EXPECT_TRUE(bit_equal(plane[k], ref[k])) << "entry " << k;
+// A random symmetric pattern over n nodes: each link present with
+// probability `density`, weight 1 or uniform in [0.2, 5]. When `connected`,
+// a random spanning tree is added first.
+Matrix random_pattern(std::size_t n, double density, bool weighted, bool connected,
+                      uwp::Rng& rng) {
+  Matrix w(n, n, 0.0);
+  const auto weight = [&] { return weighted ? rng.uniform(0.2, 5.0) : 1.0; };
+  for (std::size_t i = 1; connected && i < n; ++i) {
+    const auto parent =
+        static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(i) - 1));
+    w(i, parent) = w(parent, i) = weight();
+  }
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i + 1; j < n; ++j)
+      if (rng.uniform(0.0, 1.0) < density) w(i, j) = w(j, i) = weight();
+  return w;
 }
 
-TEST(VPinvMemo, ColdAndWarmThreadsSolveBitIdentically) {
-  uwp::Rng prng(21);
-  const Matrix d = distance_matrix(random_points(8, prng));
-  const Matrix w = k8_minus_three();
-  const auto solve = [&] {
-    uwp::Rng rng(22);
-    return smacof_2d(d, w, {}, rng);
-  };
-  SmacofResult cold;
-  on_cold_thread([&] {
-    cold = solve();
-    const VPinvMemoStats st = v_pinv_memo_stats();
-    EXPECT_EQ(st.misses, 1u);
-    EXPECT_EQ(st.hits, 0u);
-  });
-  on_cold_thread([&] {
-    solve();
-    const SmacofResult warm = solve();
-    const VPinvMemoStats st = v_pinv_memo_stats();
-    EXPECT_EQ(st.misses, 1u);
-    EXPECT_EQ(st.hits, 1u);
-    expect_bit_identical(cold, warm);
-  });
-}
-
-TEST(VPinvMemo, EvictedPatternRecomputesIdentically) {
-  uwp::Rng prng(23);
-  const Matrix d = distance_matrix(random_points(8, prng));
-  const Matrix first = k8_minus_three();
-  on_cold_thread([&] {
-    uwp::Rng rng(24);
-    const SmacofResult before = smacof_2d(d, first, {}, rng);
-    // Every K8-minus-4 pattern: 20,475 distinct keys, far past the 8,192
-    // slots, so the first pattern's set overflows and LRU evicts it.
-    SmacofWorkspace ws;
-    Matrix w = Matrix::ones(8, 8);
-    std::vector<std::pair<std::size_t, std::size_t>> links;
-    for (std::size_t i = 0; i < 8; ++i)
-      for (std::size_t j = i + 1; j < 8; ++j) links.emplace_back(i, j);
-    std::size_t filled = 0;
-    for (std::size_t a = 0; a < links.size(); ++a)
-      for (std::size_t b = a + 1; b < links.size(); ++b)
-        for (std::size_t c = b + 1; c < links.size(); ++c)
-          for (std::size_t e = c + 1; e < links.size(); ++e) {
-            for (const std::size_t l : {a, b, c, e})
-              w(links[l].first, links[l].second) = w(links[l].second, links[l].first) = 0.0;
-            smacof_v_pinv(w, ws);
-            ++filled;
-            for (const std::size_t l : {a, b, c, e})
-              w(links[l].first, links[l].second) = w(links[l].second, links[l].first) = 1.0;
-          }
-    EXPECT_EQ(filled, 20475u);
-    const VPinvMemoStats filled_stats = v_pinv_memo_stats();
-    EXPECT_EQ(filled_stats.misses, 1u + filled);
-
-    uwp::Rng rng_again(24);
-    const SmacofResult after = smacof_2d(d, first, {}, rng_again);
-    EXPECT_EQ(v_pinv_memo_stats().misses, filled_stats.misses + 1) << "not evicted";
-    expect_bit_identical(before, after);
-    expect_plane_is_reference(smacof_v_pinv(first, ws), first);
-  });
-}
-
-TEST(VPinvMemo, DiagonalIsIgnored) {
-  const Matrix zero_diag = k8_minus_three();
-  Matrix one_diag = zero_diag;
-  for (std::size_t i = 0; i < 8; ++i) one_diag(i, i) = 1.0;
-  on_cold_thread([&] {
-    SmacofWorkspace ws;
-    smacof_v_pinv(zero_diag, ws);
-    const double* plane = smacof_v_pinv(one_diag, ws);
-    const VPinvMemoStats st = v_pinv_memo_stats();
-    EXPECT_EQ(st.misses, 1u);
-    EXPECT_EQ(st.hits, 1u);
-    expect_plane_is_reference(plane, one_diag);
-    // Matrix::ones, the fully connected round, is keyed too.
-    smacof_v_pinv(Matrix::ones(5, 5), ws);
-    plane = smacof_v_pinv(Matrix::ones(5, 5), ws);
-    EXPECT_EQ(v_pinv_memo_stats().hits, 2u);
-    expect_plane_is_reference(plane, Matrix::ones(5, 5));
-  });
-}
-
-TEST(VPinvMemo, UnkeyedWeightsTakeTheUncachedPath) {
-  Matrix half = k8_minus_three();
-  half(1, 4) = half(4, 1) = 0.5;
-  Matrix negative_zero = k8_minus_three();
-  negative_zero(0, 3) = negative_zero(3, 0) = -0.0;
-  Matrix asymmetric = k8_minus_three();
-  asymmetric(0, 3) = 1.0;
-  Matrix nine = Matrix::ones(9, 9);
-  nine(2, 7) = nine(7, 2) = 0.0;
-  on_cold_thread([&] {
-    SmacofWorkspace ws;
-    std::uint64_t calls = 0;
-    for (const Matrix* w : {&half, &negative_zero, &asymmetric, &nine}) {
-      for (int repeat = 0; repeat < 2; ++repeat) {
-        expect_plane_is_reference(smacof_v_pinv(*w, ws), *w);
-        ++calls;
+TEST(VPinv, CholeskyMatchesPseudoInverse) {
+  uwp::Rng rng(21);
+  SmacofWorkspace ws;
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 2; n <= 12; ++n) sizes.push_back(n);
+  sizes.push_back(24);
+  for (const std::size_t n : sizes)
+    for (const bool weighted : {false, true})
+      for (const double density : {0.0, 0.3, 1.0}) {
+        const Matrix w = random_pattern(n, density, weighted, true, rng);
+        const std::vector<double> ref = reference_plane(w);
+        const double* plane = smacof_v_pinv(w, ws);
+        double scale = 0.0;
+        for (const double x : ref) scale = std::max(scale, std::abs(x));
+        for (std::size_t k = 0; k < ref.size(); ++k)
+          EXPECT_LE(std::abs(plane[k] - ref[k]), 1e-12 * scale)
+              << "n=" << n << " weighted=" << weighted << " density=" << density
+              << " entry " << k;
       }
+}
+
+TEST(VPinv, DisconnectedPatternsEqualJacobiBitForBit) {
+  uwp::Rng rng(22);
+  SmacofWorkspace ws;
+  for (std::size_t n = 2; n <= 12; ++n)
+    for (const bool weighted : {false, true}) {
+      // Two connected blocks with no link between them, or an isolated node.
+      const auto cut =
+          static_cast<std::size_t>(rng.uniform_int(1, static_cast<std::int64_t>(n) - 1));
+      Matrix w = random_pattern(n, 0.5, weighted, true, rng);
+      for (std::size_t i = 0; i < cut; ++i)
+        for (std::size_t j = cut; j < n; ++j) w(i, j) = w(j, i) = 0.0;
+      const std::vector<double> ref = reference_plane(w);
+      const double* plane = smacof_v_pinv(w, ws);
+      for (std::size_t k = 0; k < ref.size(); ++k)
+        EXPECT_TRUE(bit_equal(plane[k], ref[k]))
+            << "n=" << n << " cut=" << cut << " entry " << k;
     }
-    const VPinvMemoStats st = v_pinv_memo_stats();
-    EXPECT_EQ(st.uncached, calls);
-    EXPECT_EQ(st.hits, 0u);
-    EXPECT_EQ(st.misses, 0u);
-  });
+}
+
+TEST(VPinv, DiagonalIsIgnored) {
+  uwp::Rng rng(23);
+  SmacofWorkspace ws;
+  for (const bool connected : {true, false}) {
+    Matrix w = random_pattern(8, connected ? 0.4 : 0.0, true, connected, rng);
+    const std::size_t np = simd::padded(8);
+    const std::vector<double> zero_diag(smacof_v_pinv(w, ws),
+                                        smacof_v_pinv(w, ws) + np * np);
+    for (std::size_t i = 0; i < 8; ++i) w(i, i) = 1.0 + static_cast<double>(i);
+    const double* plane = smacof_v_pinv(w, ws);
+    for (std::size_t k = 0; k < np * np; ++k)
+      EXPECT_TRUE(bit_equal(plane[k], zero_diag[k])) << "connected=" << connected;
+  }
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Golden regression for the solver stack: proto::RangingSolver and
 // core::Localizer outputs on the fixed-seed fixtures in golden_fixtures.hpp,
-// captured (hexfloat) and re-pinned once when the SIMD solver kernels and
-// cross-round warm starts landed; every path — the allocating wrappers, a
+// captured (hexfloat), re-pinned when the SIMD solver kernels and
+// cross-round warm starts landed, and again when SMACOF moved to a stop rule
+// in meters with a Cholesky V^+; every path — the allocating wrappers, a
 // cold workspace, and a warm (reused) workspace — must reproduce them bit
 // for bit, on every backend (AVX2/NEON/UWP_SIMD=off share these bits: the
 // kernels fix the 4-lane blocking and reduction order). Driver-level
@@ -44,71 +45,73 @@ const double kRangingWeights[] = {
 
 const double kClean_xy[] = {
     0x0p+0, 0x0p+0,
-    0x1.00f2a3bf9db2dp+3, 0x1.54eba61c2a111p+0,
-    -0x1.a6b18691f6192p+2, 0x1.9b7bdd49980dp+2,
-    0x1.68411fb2c176cp+3, 0x1.390319112e07dp+3,
-    0x1.ca1a99484afb8p+1, -0x1.145155c01737ep+3,
-    -0x1.1453e9cdf2082p+3, -0x1.707aef5656a61p+2,
+    0x1.0111336982754p+3, 0x1.5514329cc1fdep+0,
+    -0x1.a6bdb4ae75cfcp+2, 0x1.9b7acd69c526ep+2,
+    0x1.67bb5344bb32cp+3, 0x1.398fc0c5680ep+3,
+    0x1.cae093ce44dap+1, -0x1.14372de2a2b08p+3,
+    -0x1.142f4f7f37facp+3, -0x1.70ceeffb2ed5dp+2,
 };
-const double kClean_stress = 0x1.519ee60a672edp-3;
+const double kClean_stress = 0x1.51c0baca0201fp-3;
 
 const double kOutlier_xy[] = {
-    -0x0p+0, 0x0p+0,
-    0x1.ba3198d55a63bp+2, 0x1.23689f0566e54p+1,
-    -0x1.653c487b3d48ap+2, 0x1.9a52b689452c8p+2,
-    0x1.92242004b7246p+3, 0x1.0d0e30e923279p+3,
-    0x1.1f65f73ccb55dp+2, -0x1.f69561d4389adp+2,
-    -0x1.eab8ff51a1bd4p+2, -0x1.9971d4d9f7092p+2,
-    0x1.c57ae153c71ccp+3, -0x1.d81f7c0331c32p+1,
+    0x0p+0, -0x0p+0,
+    0x1.bad8b3beee9cap+2, 0x1.23d6be9d69c89p+1,
+    -0x1.61a4f36cb2e2p+2, 0x1.9e90ee8358b4p+2,
+    0x1.910abe17d054dp+3, 0x1.0e6fc46a0207bp+3,
+    0x1.213c4d0f5e5e4p+2, -0x1.f5863932c8a1ep+2,
+    -0x1.e859315d0d952p+2, -0x1.9cf910c26e134p+2,
+    0x1.c64c26587d1e6p+3, -0x1.d31aac55d7fc5p+1,
 };
-const double kOutlier_stress = 0x1.4bfc587692109p-4;
+const double kOutlier_stress = 0x1.4fb005909c6b1p-4;
 
 const double kPruned_xy[] = {
     0x0p+0, 0x0p+0,
-    0x1.4094d8ae4c786p+3, 0x1.04160c7b8d24p+1,
-    0x1.3d95e2cd68f4dp+4, 0x1.c653092c71f04p+0,
-    0x1.b378957b38371p+4, 0x1.732ce4ecf18ap-1,
-    0x1.20fcfc5b6235ep+5, 0x1.fac9d8009db8p-3,
-    0x1.e99dd96f247p+0, 0x1.20dd0b205694ep+3,
-    0x1.33dc53768d6f1p+3, 0x1.2a0a62a924b93p+3,
-    0x1.34b9f6edd6d9fp+4, 0x1.158eb33544e48p+3,
-    0x1.a595461b038fep+4, 0x1.2e39e58cd5e0ap+3,
-    0x1.260e1baef71bdp+5, 0x1.6b72ccc0a371ep+3,
-    -0x1.4705e365fadp-2, 0x1.368aa576ca02ap+4,
-    0x1.3b4ae25810762p+3, 0x1.2791d6ce8ec97p+4,
-    0x1.195826d3b7fddp+4, 0x1.27f15d911ce02p+4,
-    0x1.b1e497bfde80ap+4, 0x1.419332b9c0796p+4,
-    0x1.23c8443eccd4p+5, 0x1.47d26789da16fp+4,
-    -0x1.4fc39e94e6bfp+0, 0x1.b74e55eb2f2d9p+4,
-    0x1.0b8093a1fa01p+3, 0x1.c7673237139f9p+4,
-    0x1.19181573da9cfp+4, 0x1.b566b2f1dbeb6p+4,
-    0x1.b07ae0526bdccp+4, 0x1.ccb4d96b0e0c4p+4,
-    0x1.16bfe35349455p+5, 0x1.d4186979264dep+4,
+    0x1.40b7f2ece0f56p+3, 0x1.043286fa6ef2bp+1,
+    0x1.3dae08f928d23p+4, 0x1.c925d9d851cfp+0,
+    0x1.b39e15e313c41p+4, 0x1.7ef402c6673cp-1,
+    0x1.21272ef825354p+5, 0x1.32ce484799bap-2,
+    0x1.e86ad22c4ccfcp+0, 0x1.20bcbcadc60e5p+3,
+    0x1.33bb26685527ep+3, 0x1.29fdf8d8be44fp+3,
+    0x1.34b147503eeffp+4, 0x1.15cefec04354dp+3,
+    0x1.a582ef52deab9p+4, 0x1.2ed307d4517c2p+3,
+    0x1.2602995aa6f3fp+5, 0x1.6cda010088d21p+3,
+    -0x1.56c3ce2012d1p-2, 0x1.3675d9fb1ab8p+4,
+    0x1.3ac9039218762p+3, 0x1.278a41ff0710ep+4,
+    0x1.19174f32311cap+4, 0x1.280751ef9d324p+4,
+    0x1.b19b0c731a7eep+4, 0x1.41e791b7938a8p+4,
+    0x1.239e4e7faf55cp+5, 0x1.4882aa68291fap+4,
+    -0x1.53d5cf6efcd08p+0, 0x1.b7631df7a0171p+4,
+    0x1.0aae806605b46p+3, 0x1.c765c035bed8ep+4,
+    0x1.18abceee213e4p+4, 0x1.b5885de47ffc4p+4,
+    0x1.afff62c15c474p+4, 0x1.cd134caae20aep+4,
+    0x1.167740cf265b3p+5, 0x1.d4c11708bf941p+4,
 };
-const double kPruned_stress = 0x1.5f50281146254p-4;
+const double kPruned_stress = 0x1.600438cdffac6p-4;
 
 // Driver-level goldens: sim::ScenarioRunner fast round (deployment Rng(77),
 // round Rng(78)) and a 6-node 4-round DES run (Rng(55)).
-const double kSimFastError2d[] = {0x0p+0, 0x1.b35c261eb4941p-2, 0x1.901e16612fa92p+0,
-                                  0x1.446734d02804bp+1, 0x1.1629cfc12add4p+2};
-const double kSimFastStress = 0x1.43c1135f64471p-3;
+const double kSimFastError2d[] = {0x0p+0, 0x1.b57224de63cf2p-2, 0x1.74ceef380a5efp+0,
+                                  0x1.2bdca9da0011p+1, 0x1.0241b11cb94b1p+2};
+const double kSimFastStress = 0x1.4499e6f89a4dfp-3;
 const double kSimFastD03 = 0x1.05f469ccb42c6p+4;
 const double kDesErrors[] = {
-    0x1.5320a5c5bb0a5p-1, 0x1.3d2fdcda7e358p-1, 0x1.a2b7771e3049bp-1,
-    0x1.a778897fb42b9p-1, 0x1.fea1e2a528dc6p-1, 0x1.17c5fd7564bb2p-1,
-    0x1.a2cf41f03e4f5p-2, 0x1.4fbbc5433b5f2p-1, 0x1.1b9e6d72d5f1bp-1,
-    0x1.aec483f6aef27p-2, 0x1.d192a3b929c6bp+0, 0x1.503346634b4e7p+1,
-    0x1.27a4f9a57316p+1,  0x1.32252bf3fa9bap+1, 0x1.8d2d6daac1bf6p+1,
-    0x1.3da3ff65e8982p+1, 0x1.80e5efdc9d34bp+1, 0x1.a1cb66660d50bp+1,
-    0x1.6856167c60e5cp+1, 0x1.c46e9de41eb27p+1};
+    0x1.536cf77726d3ep-1, 0x1.3c8c04f097164p-1, 0x1.a242c6f07b2dp-1,
+    0x1.a8e2ef0d02dabp-1, 0x1.fb90605456aa8p-1, 0x1.172c9ce5482eap-1,
+    0x1.a5e582fdd2e66p-2, 0x1.4917d971899c8p-1, 0x1.0cbd499ebc5cap-1,
+    0x1.ad98aed04a5aep-2, 0x1.d1a110eed3ap+0, 0x1.4f261ea47de6ep+1,
+    0x1.28c6da578a6d9p+1, 0x1.32e9fb31a5504p+1, 0x1.8c8068b652543p+1,
+    0x1.3da9a2bb97b8bp+1, 0x1.80be73f11f298p+1, 0x1.a2d9e1fcfd6fap+1,
+    0x1.6a9de7264ab98p+1, 0x1.c4007656148a5p+1,
+};
 const double kDesTracked[] = {
-    0x1.5320a5c5bb0a5p-1, 0x1.3d2fdcda7e358p-1, 0x1.a2b7771e3049bp-1,
-    0x1.a778897fb42b9p-1, 0x1.fea1e2a528dc6p-1, 0x1.0ce5be8684511p-1,
-    0x1.d043e358426d1p-3, 0x1.53876bbe08e24p-1, 0x1.27ac7b86bb72ap-1,
-    0x1.ae0f6bf7a4de4p-2, 0x1.721b742002d17p+0, 0x1.07a88f4273d0ap+1,
-    0x1.bab0ca3601ee1p+0, 0x1.c1f453cb6adb9p+0, 0x1.43ed377a35c6ep+1,
-    0x1.e5c334bcdc885p-1, 0x1.b11295038f8fep+1, 0x1.500da199dae59p+0,
-    0x1.f95e68b81d278p-1, 0x1.f23f357f7b077p+1};
+    0x1.536cf77726d3ep-1, 0x1.3c8c04f097164p-1, 0x1.a242c6f07b2dp-1,
+    0x1.a8e2ef0d02dabp-1, 0x1.fb90605456aa8p-1, 0x1.0c7a8dccbbacp-1,
+    0x1.d6b7db61c8bc6p-3, 0x1.4d6e93406bdfbp-1, 0x1.1a5127de30b4dp-1,
+    0x1.ae4c2102769e5p-2, 0x1.722a64688092bp+0, 0x1.06ca1103a2328p+1,
+    0x1.bd29d002bf1abp+0, 0x1.c5d66fccde0c1p+0, 0x1.42fce6d12d85fp+1,
+    0x1.e5c5f79b5700bp-1, 0x1.afc42f65d2a8fp+1, 0x1.5076a8735103fp+0,
+    0x1.fcdf3ab3c127bp-1, 0x1.f0dd425880945p+1,
+};
 
 void expect_matrix_eq(const Matrix& m, const double* golden, std::size_t n) {
   ASSERT_EQ(m.rows(), n);
@@ -213,16 +216,11 @@ void check_search_threads_case(LocalizerGoldenCase c) {
 }
 
 TEST(GoldenLocalizer, PrunedSearchBitIdenticalWithSearchThreads) {
-  // Twice in one process: the second pass finds the V^+ planes the first
-  // computed on this thread in its memo, and the goldens must still hold.
-  for (int pass = 0; pass < 2; ++pass) {
-    SCOPED_TRACE(pass == 0 ? "first pass" : "memo-warm pass");
-    check_search_threads_case({golden::fixture_pruned_input(),
-                               golden::fixture_pruned_options(), kPruned_xy,
-                               kPruned_stress, true, 32, true, {{3, 11}, {7, 15}}});
-    check_search_threads_case({golden::fixture_outlier_input(), {}, kOutlier_xy,
-                               kOutlier_stress, false, 6, true, {{2, 3}, {2, 5}}});
-  }
+  check_search_threads_case({golden::fixture_pruned_input(),
+                             golden::fixture_pruned_options(), kPruned_xy,
+                             kPruned_stress, true, 32, true, {{3, 11}, {7, 15}}});
+  check_search_threads_case({golden::fixture_outlier_input(), {}, kOutlier_xy,
+                             kOutlier_stress, false, 6, true, {{2, 3}, {2, 5}}});
 }
 
 TEST(GoldenScenario, SimFastRoundMatchesPreRefactorCapture) {

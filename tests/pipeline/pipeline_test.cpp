@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 
 #include "pipeline/arrival_error.hpp"
@@ -195,6 +196,44 @@ TEST(RoundPipeline, HugeDtResetsTheTrackInsteadOfPoisoningIt) {
   const std::int64_t cold = clean[0];  // round 0 seeds from cold classical MDS
   for (int r = 0; r < kRounds; ++r)
     EXPECT_LE(hostile[r], std::max(clean[r], cold) * 2) << "round " << r;
+}
+
+// An inf timestamp makes an inf (or, against another inf, NaN) distance on a
+// measured link. The round must end localized=false with no positions, the
+// tracker must coast through it, and the next clean round localizes again.
+TEST(RoundPipeline, NonFiniteDistanceFailsTheRoundAndTheTrackerCoasts) {
+  const ClosedFormScene scene = test_scene(8);
+  ArrivalErrorModel arrival;
+  arrival.detection_failure_prob = 0.0;
+  PipelineOptions opts = test_options(scene);
+  opts.quantize_payload = false;  // the codec never carries an inf timestamp
+  opts.track = true;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const bool nan_distance : {false, true}) {
+    FastMeasurementModel model(scene, arrival);
+    RoundPipeline pipe(opts);
+    RoundMeasurement m;
+    Rng rng(51);
+    model.measure(m, rng);
+    ASSERT_TRUE(pipe.run_round(m, rng).localized);
+    const Vec2 before = pipe.tracker().track(3).position();
+
+    model.measure(m, rng);
+    m.protocol.timestamps(3, 6) = kInf;
+    if (nan_distance) m.protocol.timestamps(3, 3) = kInf;  // inf - inf
+    const RoundOutput& bad = pipe.run_round(m, rng, 1.0);
+    EXPECT_FALSE(bad.localized) << "nan_distance=" << nan_distance;
+    for (std::size_t i = 1; i < 8; ++i) EXPECT_TRUE(std::isnan(bad.error_2d[i]));
+    // Coasting: the track moved only by its motion model, and stays finite.
+    const Vec2 coasted = pipe.tracker().track(3).position();
+    EXPECT_TRUE(std::isfinite(coasted.x) && std::isfinite(coasted.y));
+    EXPECT_LT(distance(coasted, before), 1.0);
+
+    model.measure(m, rng);
+    const RoundOutput& next = pipe.run_round(m, rng, 1.0);
+    ASSERT_TRUE(next.localized) << "nan_distance=" << nan_distance;
+    for (std::size_t i = 1; i < 8; ++i) EXPECT_LT(next.error_2d[i], 10.0);
+  }
 }
 
 // The waveform front-end and the one-shot ScenarioRunner wrapper agree
