@@ -47,17 +47,11 @@ std::shared_ptr<const uwp::des::MobilityModel> make_mobility(std::size_t n) {
   return mob;
 }
 
-// `search_threads` parallelizes the localizer's pruned outlier-candidate
-// search (bit-identical at any count): 0 = all hardware threads — right for
-// the serial reference run; 1 = serial — right for Monte-Carlo sweeps whose
-// trials already occupy every core.
-uwp::des::DesScenario make_scenario(std::size_t n, std::size_t rounds,
-                                    std::size_t search_threads = 1) {
+uwp::des::DesScenario make_scenario(std::size_t n, std::size_t rounds) {
   uwp::des::DesScenarioConfig cfg;
   cfg.protocol.num_devices = n;
   cfg.rounds = rounds;
   cfg.arrival.detection_failure_prob = 0.02;
-  cfg.localizer.outlier.search_threads = search_threads;
   std::vector<uwp::audio::AudioTimingConfig> audio(n);
   for (std::size_t i = 0; i < n; ++i) {
     audio[i].speaker_start_s = 0.19 * static_cast<double>(i);
@@ -82,8 +76,8 @@ int main(int argc, char** argv) {
 
   if (flags.json) {
     // The perf workload tracked in BENCH_pipeline.json: the 24-node,
-    // 12-round reference round loop (outlier search across all cores).
-    const uwp::des::DesScenario timed = make_scenario(n, rounds, 0);
+    // 12-round reference round loop, one thread.
+    const uwp::des::DesScenario timed = make_scenario(n, rounds);
     const auto t0 = std::chrono::steady_clock::now();
     uwp::Rng timing_rng(24);
     const auto res = timed.run(timing_rng);
@@ -95,7 +89,7 @@ int main(int argc, char** argv) {
     return res.localized_rounds > 0 ? 0 : 1;
   }
 
-  const uwp::des::DesScenario scenario = make_scenario(n, rounds, 0);
+  const uwp::des::DesScenario scenario = make_scenario(n, rounds);
 
   std::printf("=== DES swarm: %zu nodes, %zu rounds, 3 movers ===\n", n, rounds);
   std::printf("round period %.2f s (worst-case relay round trip)\n\n",
@@ -135,17 +129,15 @@ int main(int argc, char** argv) {
   }
 
   // Monte-Carlo over independent swarms (fresh error/sensor draws per
-  // trial) through the parallel sweep engine. Trials occupy every core, so
-  // the per-trial localizer search stays serial (same results either way).
+  // trial) through the parallel sweep engine.
   std::printf("\n=== Monte-Carlo: 8 independent %zu-node swarm runs ===\n", n);
-  const uwp::des::DesScenario mc_scenario = make_scenario(n, rounds, 1);
   uwp::sim::SweepOptions so;
   so.trials = 8;
   so.master_seed = 2400;
   so.threads = threads;
   const uwp::sim::SweepResult res = uwp::sim::SweepRunner(so).run(
-      [&mc_scenario](std::size_t, uwp::Rng& trial_rng) {
-        return mc_scenario.run(trial_rng).errors;
+      [&scenario](std::size_t, uwp::Rng& trial_rng) {
+        return scenario.run(trial_rng).errors;
       });
   uwp::sim::print_summary_row("all trials, raw error", res.samples);
   uwp::sim::print_cdf("raw error CDF", res.samples, 9);

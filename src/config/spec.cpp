@@ -130,7 +130,6 @@ void fields(F& f, core::OutlierOptions& o) {
   f("drop_ratio", o.drop_ratio);
   f("max_outliers", o.max_outliers);
   f("max_suspect_links", o.max_suspect_links);
-  f("search_threads", o.search_threads);
   f("smacof", o.smacof);
 }
 
@@ -663,8 +662,6 @@ std::vector<std::string> validate(const ScenarioSpec& spec) {
   // Worker counts share threads_from_args' cap: 0 = all hardware threads,
   // anything above 1024 is a typo, not a machine.
   constexpr std::size_t kMaxWorkers = 1024;
-  if (spec.round.localizer.outlier.search_threads > kMaxWorkers)
-    err("round.localizer.outlier.search_threads", "must be <= 1024 (0 = all)");
 
   // sweep
   if (spec.sweep.trials < 1) err("sweep.trials", "must be >= 1");

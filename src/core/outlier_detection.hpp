@@ -10,13 +10,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "core/rigidity.hpp"
 #include "core/smacof.hpp"
-#include "util/thread_pool.hpp"
 
 namespace uwp::core {
 
@@ -41,14 +39,6 @@ struct OutlierOptions {
   // C(8, 2): every fully-connected group up to the paper's largest (N = 8)
   // keeps the exhaustive subset enumeration.
   std::size_t max_suspect_links = 28;
-  // Worker threads for the candidate-subset search. Every thread count runs
-  // the same loop: candidate solves are warm-started and draw no
-  // randomness, and per-thread bests are reduced by (stress, enumeration
-  // index), so the result — solver iterations included — is bit-identical
-  // at any thread count. 1 = serial, no pool (the default — and the right
-  // setting when an outer sweep already parallelizes trials); 0 = all
-  // hardware threads.
-  std::size_t search_threads = 1;
   SmacofOptions smacof{};
 };
 
@@ -61,39 +51,23 @@ struct OutlierResult {
   Matrix weights;
   // Total SMACOF iterations spent on this round (base solve + every
   // candidate solve, each solved exactly once). A pure function of the
-  // inputs at any search_threads, so it is part of the deterministic
-  // telemetry plane, not a timing.
+  // inputs, so it is part of the deterministic telemetry plane, not a
+  // timing.
   std::int64_t iterations = 0;
 };
 
-// Reusable scratch for localize_with_outlier_detection_into. Each solve
-// computes its own V^+ in its SmacofWorkspace (a Cholesky factorization
-// when the candidate's link graph stays connected, see smacof_v_pinv), so
-// nothing is shared between lanes, rounds or sessions.
+// Reusable scratch for localize_with_outlier_detection_into. One
+// SmacofWorkspace serves the base solve and then every candidate solve in
+// turn (each computes its own V^+ there, see smacof_v_pinv): once the base
+// result sits in `base`, the solver scratch is free. No state carries from
+// one call to the next.
 struct OutlierWorkspace {
-  SmacofWorkspace smacof_base;
-  SmacofResult base;
-  std::vector<Edge> links;
-  std::vector<std::size_t> pool, subset_slots, flat_subsets, dropped;
+  SmacofWorkspace smacof;
+  SmacofResult base, candidate, best;  // base solve; latest and level-best candidate
+  Matrix w;                            // candidate weights (subset dropped)
+  std::vector<Edge> links, remaining;
+  std::vector<std::size_t> pool, subset_slots, dropped;
   std::vector<double> residual;
-
-  // One lane of candidate scratch per search thread. At one thread lane 0
-  // runs inline and no pool is built; otherwise the pool drives every lane.
-  // Each lane sums its solver iterations and keeps its best realizable
-  // candidate (stress, index into flat_subsets, layout).
-  struct SearchLane {
-    SmacofWorkspace smacof;
-    SmacofResult result;
-    Matrix w;
-    std::vector<Edge> remaining;
-    Rng rng{0};  // never drawn from (warm solves have no restarts)
-    std::int64_t iterations = 0;
-    double best_stress = 0.0;
-    std::size_t best_ci = 0;
-    std::vector<Vec2> best_positions;
-  };
-  std::unique_ptr<ThreadPool> search_pool;
-  std::vector<SearchLane> lanes;
 };
 
 // Algorithm 1: localize with outlier detection. `dist` is the projected 2D

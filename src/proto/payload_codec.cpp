@@ -97,7 +97,9 @@ void quantize_run_payload(ProtocolRun& run, const PayloadCodecConfig& cfg) {
       if (run.sync_ref[j] != 0) continue;  // relay slots ride as-is
       const double slot = slot_time_leader_sync(cfg.protocol, j);
       const double delta = run.timestamps(i, j) - slot;
-      if (delta < 0.0 || delta >= codec.dequantize_delta(codec.missing_sentinel() - 1))
+      // Out-of-field deltas ride as-is; the negated test keeps a NaN one
+      // (a timestamp off the wire, say) away from quantize_delta's cast.
+      if (!(delta >= 0.0 && delta < codec.dequantize_delta(codec.missing_sentinel() - 1)))
         continue;
       run.timestamps(i, j) = slot + codec.dequantize_delta(codec.quantize_delta(delta));
     }

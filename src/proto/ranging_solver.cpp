@@ -19,8 +19,10 @@ void RangingSolver::solve_into(RangingSolution& out, const ProtocolRun& run) con
   out.one_way_links = 0;
   const double c = cfg_.sound_speed_mps;
 
+  // A non-finite timestamp (NaN for a failed detection, or inf off the
+  // wire) is a missing one.
   auto have = [&](std::size_t i, std::size_t j) {
-    return run.heard(i, j) > 0.0 && !std::isnan(run.timestamps(i, j));
+    return run.heard(i, j) > 0.0 && std::isfinite(run.timestamps(i, j));
   };
 
   // Two-way estimates.
@@ -30,7 +32,9 @@ void RangingSolver::solve_into(RangingSolution& out, const ProtocolRun& run) con
       const double d = c / 2.0 *
                        ((run.timestamps(i, j) - run.timestamps(i, i)) -
                         (run.timestamps(j, j) - run.timestamps(j, i)));
-      if (d <= 0.0) continue;  // physically impossible; treat as missing
+      // Physically impossible, or overflowed from huge finite timestamps:
+      // treat as missing.
+      if (!(d > 0.0 && std::isfinite(d))) continue;
       out.distances(i, j) = out.distances(j, i) = d;
       out.weights(i, j) = out.weights(j, i) = 1.0;
       ++out.two_way_links;
@@ -56,7 +60,7 @@ void RangingSolver::solve_into(RangingSolution& out, const ProtocolRun& run) con
       } else {
         continue;
       }
-      if (d <= 0.0) continue;
+      if (!(d > 0.0 && std::isfinite(d))) continue;
       out.distances(i, j) = out.distances(j, i) = d;
       out.weights(i, j) = out.weights(j, i) = 1.0;
       ++out.one_way_links;

@@ -54,8 +54,6 @@ ScenarioSpec random_spec(uwp::Rng& rng, bool include_nan) {
   s.round.localizer.outlier.max_outliers = static_cast<int>(rng.uniform_int(0, 5));
   s.round.localizer.outlier.max_suspect_links =
       static_cast<std::size_t>(rng.uniform_int(1, 100));
-  s.round.localizer.outlier.search_threads =
-      static_cast<std::size_t>(rng.uniform_int(0, 8));
   s.round.localizer.outlier.smacof.max_iterations =
       static_cast<int>(rng.uniform_int(1, 1000));
   s.round.localizer.outlier.smacof.tolerance_m = rng.uniform(1e-6, 1e-2);
@@ -239,8 +237,9 @@ TEST(SpecParse, UnknownAndMistypedFieldsFailWithPaths) {
 }
 
 // Keys of retired features must fail loudly, not be ignored: the control
-// keys of the solver and arena tuners (and their policy gates), and the
-// size of the telemetry event ring.
+// keys of the solver and arena tuners (and their policy gates), the size
+// of the telemetry event ring, SMACOF's relative stop rule and the
+// Algorithm-1 search fan-out.
 TEST(SpecParse, RemovedKeysAreUnknownFields) {
   const char* const removed[] = {
       "control.solver",          "control.solver_iters_high",
@@ -248,7 +247,8 @@ TEST(SpecParse, RemovedKeysAreUnknownFields) {
       "control.arena",           "control.shaper",
       "control.evict_storm",     "control.retain_base",
       "control.retain_max",      "telemetry.ring_capacity",
-      "round.localizer.outlier.smacof.rel_tolerance"};
+      "round.localizer.outlier.smacof.rel_tolerance",
+      "round.localizer.outlier.search_threads"};
   for (const std::string path : removed) {
     // {"a": {"b": {"key": 1}}} for the dotted path a.b.key.
     std::string json, closing;

@@ -18,26 +18,14 @@ Matrix distance_matrix(const std::vector<Vec2>& pts) {
   return d;
 }
 
-// Runs Algorithm 1 at search_threads = 1 and 4 from the same rng seed,
-// checks the fan-out reproduces the serial result exactly, and returns the
-// serial result for the caller's own assertions.
-OutlierResult localize_at_both_thread_counts(const Matrix& d, const Matrix& w,
-                                             OutlierOptions opts, std::uint64_t seed) {
-  const auto localize = [&](std::size_t threads) {
-    opts.search_threads = threads;
-    uwp::Rng rng(seed);
-    OutlierWorkspace ws;
-    OutlierResult out;
-    localize_with_outlier_detection_into(out, d, w, opts, rng, ws);
-    return out;
-  };
-  const OutlierResult serial = localize(1);
-  const OutlierResult fanned = localize(4);
-  EXPECT_EQ(fanned.positions, serial.positions);
-  EXPECT_EQ(fanned.normalized_stress, serial.normalized_stress);
-  EXPECT_EQ(fanned.dropped_links, serial.dropped_links);
-  EXPECT_EQ(fanned.iterations, serial.iterations);
-  return serial;
+// Runs Algorithm 1 on a fresh workspace from the given rng seed.
+OutlierResult localize(const Matrix& d, const Matrix& w, const OutlierOptions& opts,
+                       std::uint64_t seed) {
+  uwp::Rng rng(seed);
+  OutlierWorkspace ws;
+  OutlierResult out;
+  localize_with_outlier_detection_into(out, d, w, opts, rng, ws);
+  return out;
 }
 
 TEST(Subsets, EnumerationCounts) {
@@ -60,7 +48,7 @@ TEST(Subsets, ElementsAreSortedAndUnique) {
 TEST(OutlierDetection, CleanDataPassesThrough) {
   const std::vector<Vec2> truth = {{0, 0}, {8, 1}, {3, 9}, {-6, 4}, {-2, -7}};
   const Matrix d = distance_matrix(truth);
-  const OutlierResult res = localize_at_both_thread_counts(d, Matrix::ones(5, 5), {}, 1);
+  const OutlierResult res = localize(d, Matrix::ones(5, 5), {}, 1);
   EXPECT_FALSE(res.outliers_suspected);
   EXPECT_TRUE(res.dropped_links.empty());
   EXPECT_LT(aligned_rmse(res.positions, truth), 0.05);
@@ -71,7 +59,7 @@ TEST(OutlierDetection, SingleCorruptedLinkFoundAndDropped) {
   Matrix d = distance_matrix(truth);
   // Occluded link 0-1: multipath adds ~7 m.
   d(0, 1) = d(1, 0) = d(0, 1) + 7.0;
-  const OutlierResult res = localize_at_both_thread_counts(d, Matrix::ones(5, 5), {}, 2);
+  const OutlierResult res = localize(d, Matrix::ones(5, 5), {}, 2);
   EXPECT_TRUE(res.outliers_suspected);
   ASSERT_EQ(res.dropped_links.size(), 1u);
   EXPECT_EQ(res.dropped_links[0], (Edge{0, 1}));
@@ -87,7 +75,7 @@ TEST(OutlierDetection, OutlierErrorBelowTriangleInequalityStillCaught) {
   const double bumped = d(0, 1) + 4.0;  // 16 m: within 0-2-1 path (~22 m)
   d(0, 1) = d(1, 0) = bumped;
   EXPECT_LT(bumped, d(0, 2) + d(2, 1));  // triangle inequality intact
-  const OutlierResult res = localize_at_both_thread_counts(d, Matrix::ones(5, 5), {}, 3);
+  const OutlierResult res = localize(d, Matrix::ones(5, 5), {}, 3);
   EXPECT_TRUE(res.outliers_suspected);
   ASSERT_FALSE(res.dropped_links.empty());
   EXPECT_EQ(res.dropped_links[0], (Edge{0, 1}));
@@ -103,7 +91,7 @@ TEST(OutlierDetection, RefusesDropsThatBreakRealizability) {
   // K4 has 6 edges and is redundantly rigid; removing any one edge leaves a
   // Laman graph which is NOT redundantly rigid -> no drop is allowed.
   d(0, 1) = d(1, 0) = d(0, 1) + 6.0;  // corrupt one link anyway
-  const OutlierResult res = localize_at_both_thread_counts(d, w, {}, 4);
+  const OutlierResult res = localize(d, w, {}, 4);
   EXPECT_TRUE(res.outliers_suspected);
   EXPECT_TRUE(res.dropped_links.empty());
 }
@@ -119,8 +107,7 @@ TEST(OutlierDetection, MaxOutlierBudgetRespected) {
   d(1, 4) = d(4, 1) = d(1, 4) + 6.0;
   OutlierOptions opts;
   opts.max_outliers = 3;
-  const OutlierResult res =
-      localize_at_both_thread_counts(d, Matrix::ones(6, 6), opts, 5);
+  const OutlierResult res = localize(d, Matrix::ones(6, 6), opts, 5);
   EXPECT_LE(res.dropped_links.size(), 3u);
 }
 

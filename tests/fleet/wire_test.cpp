@@ -7,6 +7,9 @@
 #include <limits>
 #include <vector>
 
+#include "fleet/session.hpp"
+#include "pipeline/round_pipeline.hpp"
+#include "sim/fleet_workload.hpp"
 #include "util/random.hpp"
 
 namespace uwp::fleet {
@@ -93,6 +96,43 @@ TEST(WireCodec, MeasurementRoundTripExactEveryField) {
   std::vector<std::uint8_t> bytes2;
   encode_measurement(back, bytes2);
   EXPECT_EQ(bytes, bytes2);
+}
+
+// A NaN timestamp decoded off the wire on a heard, leader-synced link is a
+// missing measurement to a session's round chain: payload quantization
+// neither quantizes nor casts it, and the round equals the one where that
+// slot was never heard.
+TEST(WireCodec, NaNTimestampOnAHeardLinkRunsAsMissing) {
+  sim::WorkloadParams params;
+  params.force_kind = static_cast<int>(sim::GroupScenarioKind::kStatic);
+  const sim::GroupScenario sc = sim::make_group_scenario(params, 0);
+  pipeline::FastMeasurementModel model(sc.scene, sc.arrival);
+  pipeline::RoundMeasurement m;
+  uwp::Rng rng(3);
+  model.measure(m, rng);
+  ASSERT_GT(m.protocol.heard(2, 3), 0.0);
+  ASSERT_EQ(m.protocol.sync_ref[3], 0u);
+
+  pipeline::RoundMeasurement unheard = m;
+  unheard.protocol.heard(2, 3) = 0.0;
+  m.protocol.timestamps(2, 3) = kNaN;
+  std::vector<std::uint8_t> bytes;
+  encode_measurement(m, bytes);
+  pipeline::RoundMeasurement back;
+  std::size_t pos = 0;
+  decode_measurement(bytes, pos, back);
+
+  const pipeline::PipelineOptions opts = pipeline_options_for(sc);
+  const auto run = [&opts](pipeline::RoundMeasurement& in) {
+    pipeline::RoundPipeline pipe(opts);
+    uwp::Rng solve_rng(9);
+    const pipeline::RoundOutput& out = pipe.run_round(in, solve_rng);
+    return RoundRecord{0, out.localized, out.localization.normalized_stress,
+                       out.error_2d, out.tracked_error_2d};
+  };
+  const RoundRecord got = run(back);
+  EXPECT_TRUE(got.localized);
+  EXPECT_TRUE(bit_equal(got, run(unheard)));
 }
 
 TEST(WireCodec, DecodedBuffersAreReusedAcrossSizes) {

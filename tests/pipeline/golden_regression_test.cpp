@@ -202,27 +202,6 @@ TEST(GoldenLocalizer, PrunedWarmStartSearch) {
                         {{3, 11}, {7, 15}}});
 }
 
-// The parallel search must reduce to the exact serial result, solver
-// iterations included.
-void check_search_threads_case(LocalizerGoldenCase c) {
-  const auto solver_iterations = [&c] {
-    Rng rng(99);
-    return core::Localizer(c.opts).localize(c.input, rng).solver_iterations;
-  };
-  const std::int64_t serial_iterations = solver_iterations();
-  c.opts.outlier.search_threads = 4;
-  check_localizer_case(c);
-  EXPECT_EQ(solver_iterations(), serial_iterations);
-}
-
-TEST(GoldenLocalizer, PrunedSearchBitIdenticalWithSearchThreads) {
-  check_search_threads_case({golden::fixture_pruned_input(),
-                             golden::fixture_pruned_options(), kPruned_xy,
-                             kPruned_stress, true, 32, true, {{3, 11}, {7, 15}}});
-  check_search_threads_case({golden::fixture_outlier_input(), {}, kOutlier_xy,
-                             kOutlier_stress, false, 6, true, {{2, 3}, {2, 5}}});
-}
-
 TEST(GoldenScenario, SimFastRoundMatchesPreRefactorCapture) {
   Rng setup(77);
   const sim::Deployment dep = sim::make_dock_testbed(setup);

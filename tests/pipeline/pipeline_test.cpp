@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -198,42 +199,82 @@ TEST(RoundPipeline, HugeDtResetsTheTrackInsteadOfPoisoningIt) {
     EXPECT_LE(hostile[r], std::max(clean[r], cold) * 2) << "round " << r;
 }
 
-// An inf timestamp makes an inf (or, against another inf, NaN) distance on a
-// measured link. The round must end localized=false with no positions, the
-// tracker must coast through it, and the next clean round localizes again.
+// A NaN depth makes every projected distance of its device NaN. The round
+// must end localized=false with no positions, the tracker must coast
+// through it, and the next clean round localizes again.
 TEST(RoundPipeline, NonFiniteDistanceFailsTheRoundAndTheTrackerCoasts) {
   const ClosedFormScene scene = test_scene(8);
   ArrivalErrorModel arrival;
   arrival.detection_failure_prob = 0.0;
   PipelineOptions opts = test_options(scene);
-  opts.quantize_payload = false;  // the codec never carries an inf timestamp
   opts.track = true;
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  for (const bool nan_distance : {false, true}) {
+  FastMeasurementModel model(scene, arrival);
+  RoundPipeline pipe(opts);
+  RoundMeasurement m;
+  Rng rng(51);
+  model.measure(m, rng);
+  ASSERT_TRUE(pipe.run_round(m, rng).localized);
+  const Vec2 before = pipe.tracker().track(3).position();
+
+  model.measure(m, rng);
+  m.depths[3] = std::nan("");
+  const RoundOutput& bad = pipe.run_round(m, rng, 1.0);
+  EXPECT_FALSE(bad.localized);
+  for (std::size_t i = 1; i < 8; ++i) EXPECT_TRUE(std::isnan(bad.error_2d[i]));
+  // Coasting: the track moved only by its motion model, and stays finite.
+  const Vec2 coasted = pipe.tracker().track(3).position();
+  EXPECT_TRUE(std::isfinite(coasted.x) && std::isfinite(coasted.y));
+  EXPECT_LT(distance(coasted, before), 1.0);
+
+  model.measure(m, rng);
+  const RoundOutput& next = pipe.run_round(m, rng, 1.0);
+  ASSERT_TRUE(next.localized);
+  for (std::size_t i = 1; i < 8; ++i) EXPECT_LT(next.error_2d[i], 10.0);
+}
+
+// Every result of a round as bits, so NaN entries compare equal too.
+std::vector<std::uint64_t> output_bits(const RoundOutput& out) {
+  std::vector<std::uint64_t> bits = {
+      out.localized, static_cast<std::uint64_t>(out.localization.solver_iterations),
+      out.localization.dropped_links.size()};
+  const auto add = [&bits](double v) { bits.push_back(std::bit_cast<std::uint64_t>(v)); };
+  for (const double v : out.ranging.distances.data()) add(v);
+  for (const double v : out.ranging.weights.data()) add(v);
+  for (const Vec3& p : out.localization.positions) {
+    add(p.x);
+    add(p.y);
+    add(p.z);
+  }
+  add(out.localization.normalized_stress);
+  for (const double v : out.error_2d) add(v);
+  for (const double v : out.tracked_error_2d) add(v);
+  return bits;
+}
+
+// An inf timestamp is a missing one, exactly like the NaN of a failed
+// detection: the round is bit-identical either way, and the bad slot costs
+// its two-way link, not the round.
+TEST(RoundPipeline, InfTimestampIsMissingLikeNaN) {
+  const ClosedFormScene scene = test_scene(8);
+  ArrivalErrorModel arrival;
+  arrival.detection_failure_prob = 0.0;
+  PipelineOptions opts = test_options(scene);
+  opts.track = true;
+  const auto run = [&](double bad) {
     FastMeasurementModel model(scene, arrival);
     RoundPipeline pipe(opts);
     RoundMeasurement m;
     Rng rng(51);
     model.measure(m, rng);
-    ASSERT_TRUE(pipe.run_round(m, rng).localized);
-    const Vec2 before = pipe.tracker().track(3).position();
-
+    pipe.run_round(m, rng);
     model.measure(m, rng);
-    m.protocol.timestamps(3, 6) = kInf;
-    if (nan_distance) m.protocol.timestamps(3, 3) = kInf;  // inf - inf
-    const RoundOutput& bad = pipe.run_round(m, rng, 1.0);
-    EXPECT_FALSE(bad.localized) << "nan_distance=" << nan_distance;
-    for (std::size_t i = 1; i < 8; ++i) EXPECT_TRUE(std::isnan(bad.error_2d[i]));
-    // Coasting: the track moved only by its motion model, and stays finite.
-    const Vec2 coasted = pipe.tracker().track(3).position();
-    EXPECT_TRUE(std::isfinite(coasted.x) && std::isfinite(coasted.y));
-    EXPECT_LT(distance(coasted, before), 1.0);
-
-    model.measure(m, rng);
-    const RoundOutput& next = pipe.run_round(m, rng, 1.0);
-    ASSERT_TRUE(next.localized) << "nan_distance=" << nan_distance;
-    for (std::size_t i = 1; i < 8; ++i) EXPECT_LT(next.error_2d[i], 10.0);
-  }
+    m.protocol.timestamps(3, 6) = bad;
+    return pipe.run_round(m, rng, 1.0);
+  };
+  const RoundOutput inf = run(std::numeric_limits<double>::infinity());
+  ASSERT_TRUE(inf.localized);
+  EXPECT_EQ(inf.ranging.two_way_links, 27u);
+  EXPECT_EQ(output_bits(inf), output_bits(run(std::nan(""))));
 }
 
 // The waveform front-end and the one-shot ScenarioRunner wrapper agree
