@@ -163,6 +163,16 @@ void BM_PebbleGameK8(benchmark::State& state) {
 }
 BENCHMARK(BM_PebbleGameK8);
 
+// The per-round case: a 5-device group with 7 of its 10 links (minimally
+// rigid, and too few links to be 3-connected).
+void BM_UniquelyRealizable5(benchmark::State& state) {
+  const std::vector<uwp::core::Edge> edges = {{0, 1}, {0, 2}, {0, 3}, {1, 2},
+                                              {1, 4}, {2, 3}, {3, 4}};
+  for (auto _ : state)
+    benchmark::DoNotOptimize(uwp::core::is_uniquely_realizable_2d(5, edges));
+}
+BENCHMARK(BM_UniquelyRealizable5);
+
 void BM_ViterbiDecode(benchmark::State& state) {
   uwp::Rng rng(8);
   std::vector<std::uint8_t> bits(58);

@@ -212,8 +212,7 @@ void fields(F& f, sim::WorkloadParams& w) {
 template <class F>
 void fields(F& f, fleet::ShaperOptions& s) {
   f.choice("policy", s.policy,
-           {fleet::AdmissionPolicy::kAdmitAll, fleet::AdmissionPolicy::kShed,
-            fleet::AdmissionPolicy::kDefer});
+           {fleet::AdmissionPolicy::kAdmitAll, fleet::AdmissionPolicy::kDefer});
   f("ingest_shards", s.ingest_shards);
   f("queue_depth", s.queue_depth);
   f("drain_rounds_per_s", s.drain_rounds_per_s);
@@ -530,6 +529,7 @@ std::vector<std::string> validate(const ScenarioSpec& spec) {
     errors.push_back(path + ": " + what);
   };
   const auto finite = [](double v) { return std::isfinite(v); };
+  const std::string cap_text = "must be <= " + std::to_string(sim::kMaxGroupSize);
 
   if (spec.name.empty()) err("name", "must be non-empty");
 
@@ -541,13 +541,13 @@ std::vector<std::string> validate(const ScenarioSpec& spec) {
     if (spec.deployment.devices < 2)
       err("deployment.devices", "need at least 2 devices (leader + one)");
     if (spec.deployment.devices > sim::kMaxGroupSize)
-      err("deployment.devices", "must be <= 512");
+      err("deployment.devices", cap_text);
   }
   if (spec.deployment.preset == DeploymentPreset::kExplicit) {
     if (spec.deployment.positions.size() < 2)
       err("deployment.positions", "need at least 2 positions (leader + one)");
     if (spec.deployment.positions.size() > sim::kMaxGroupSize)
-      err("deployment.positions", "must be <= 512");
+      err("deployment.positions", cap_text);
   }
   if (spec.deployment.preset != DeploymentPreset::kExplicit &&
       !spec.deployment.positions.empty())
@@ -676,7 +676,7 @@ std::vector<std::string> validate(const ScenarioSpec& spec) {
   if (w.max_group_size < w.min_group_size)
     err("fleet.workload.max_group_size", "must be >= min_group_size");
   if (w.max_group_size > sim::kMaxGroupSize)
-    err("fleet.workload.max_group_size", "must be <= 512");
+    err("fleet.workload.max_group_size", cap_text);
   if (w.min_rounds < 1) err("fleet.workload.min_rounds", "must be >= 1");
   if (w.max_rounds < w.min_rounds)
     err("fleet.workload.max_rounds", "must be >= min_rounds");

@@ -20,6 +20,7 @@ void Localizer::localize_into(LocalizationResult& out, const LocalizationInput& 
                               const std::vector<Vec2>* warm_init) const {
   const std::size_t n = input.distances.rows();
   if (n < 2) throw std::invalid_argument("Localizer: need at least 2 devices");
+  if (n > kMaxDevices) throw std::invalid_argument("Localizer: more than kMaxDevices devices");
   if (input.distances.cols() != n || input.weights.rows() != n ||
       input.weights.cols() != n || input.depths.size() != n)
     throw std::invalid_argument("Localizer: shape mismatch");

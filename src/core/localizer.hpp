@@ -61,9 +61,10 @@ class Localizer {
  public:
   explicit Localizer(LocalizerOptions opts = {}) : opts_(opts) {}
 
-  // Throws std::invalid_argument on malformed input (shape mismatch, N < 2)
-  // and std::domain_error when the solve ends with a non-finite stress (a
-  // NaN or inf distance on a link): such a round has no layout to report.
+  // Throws std::invalid_argument on malformed input (shape mismatch, N < 2,
+  // N > kMaxDevices) and std::domain_error when the solve ends with a
+  // non-finite stress (a NaN or inf distance on a link): such a round has no
+  // layout to report.
   LocalizationResult localize(const LocalizationInput& input, uwp::Rng& rng) const;
 
   // Workspace variant: same results, near-zero heap allocation once `ws`

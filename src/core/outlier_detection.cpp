@@ -130,9 +130,9 @@ void localize_with_outlier_detection_into(OutlierResult& out, const Matrix& dist
       const bool significant = e0 - ns > opts.drop_ratio * e0;
       if (!significant || !(ns < best_stress)) continue;
       // Only accept when the remaining graph is still uniquely realizable —
-      // otherwise the "improvement" is just the looser problem. Checking is
-      // pricier than a warm-started solve, so it waits for candidates that
-      // actually improve the stress.
+      // otherwise the "improvement" is just the looser problem. Checked
+      // after the solve, so every candidate is solved and counted in
+      // `iterations`.
       if (!is_uniquely_realizable_2d(n, ws.remaining)) continue;
       best_stress = ns;
       dropped.clear();

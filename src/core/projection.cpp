@@ -22,9 +22,10 @@ void project_to_2d_into(Matrix& out, const Matrix& dist3d,
     for (std::size_t j = i + 1; j < n; ++j) {
       const double dh = depths[i] - depths[j];
       const double sq = dist3d(i, j) * dist3d(i, j) - dh * dh;
-      // A negative radicand clamps to zero; a NaN one stays NaN, so a
-      // non-finite distance reaches the solver instead of reading as 0 m.
-      const double d = sq < 0.0 ? 0.0 : std::sqrt(sq);
+      // A finite negative radicand clamps to zero; a NaN or -inf one (an inf
+      // depth) turns into NaN, so a non-finite input reaches the solver
+      // instead of reading as 0 m.
+      const double d = sq < 0.0 && std::isfinite(sq) ? 0.0 : std::sqrt(sq);
       out(i, j) = out(j, i) = d;
     }
   }

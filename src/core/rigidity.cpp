@@ -1,189 +1,188 @@
 #include "core/rigidity.hpp"
 
-#include <algorithm>
-#include <functional>
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <stdexcept>
 
 namespace uwp::core {
 
-std::vector<Edge> edges_from_weights(const Matrix& w) {
-  std::vector<Edge> edges;
-  for (std::size_t i = 0; i < w.rows(); ++i)
-    for (std::size_t j = i + 1; j < w.cols(); ++j)
-      if (w(i, j) > 0.0) edges.emplace_back(i, j);
-  return edges;
-}
-
 namespace {
 
-std::vector<std::vector<std::size_t>> adjacency(std::size_t n,
-                                                const std::vector<Edge>& edges) {
-  std::vector<std::vector<std::size_t>> adj(n);
-  for (const Edge& e : edges) {
-    adj[e.first].push_back(e.second);
-    adj[e.second].push_back(e.first);
-  }
-  return adj;
+using Mask = std::uint64_t;
+
+constexpr Mask bit(std::size_t v) { return Mask{1} << v; }
+
+constexpr Mask all_nodes(std::size_t n) { return n == kMaxDevices ? ~Mask{0} : bit(n) - 1; }
+
+void check_graph(std::size_t n, const std::vector<Edge>& edges) {
+  if (n > kMaxDevices) throw std::invalid_argument("rigidity: more than kMaxDevices nodes");
+  for (const Edge& e : edges)
+    if (e.first >= n || e.second >= n)
+      throw std::invalid_argument("rigidity: edge endpoint out of range");
 }
 
-// Connectivity with an optional set of removed vertices.
-bool connected_excluding(std::size_t n, const std::vector<std::vector<std::size_t>>& adj,
-                         const std::vector<bool>& removed) {
-  std::size_t start = n;
-  std::size_t alive = 0;
-  for (std::size_t i = 0; i < n; ++i)
-    if (!removed[i]) {
-      ++alive;
-      if (start == n) start = i;
-    }
-  if (alive <= 1) return true;
-  std::vector<bool> seen(n, false);
-  std::vector<std::size_t> stack = {start};
-  seen[start] = true;
-  std::size_t count = 1;
-  while (!stack.empty()) {
-    const std::size_t v = stack.back();
-    stack.pop_back();
-    for (std::size_t u : adj[v]) {
-      if (!removed[u] && !seen[u]) {
-        seen[u] = true;
-        ++count;
-        stack.push_back(u);
-      }
-    }
+// Node v's neighbours are the set bits of adj[v].
+struct LinkGraph {
+  std::size_t n = 0;
+  std::array<Mask, kMaxDevices> adj{};
+};
+
+LinkGraph graph_of(std::size_t n, const std::vector<Edge>& edges) {
+  check_graph(n, edges);
+  LinkGraph g;
+  g.n = n;
+  for (const Edge& e : edges) {
+    g.adj[e.first] |= bit(e.second);
+    g.adj[e.second] |= bit(e.first);
   }
-  return count == alive;
+  return g;
+}
+
+// Whether the nodes of `alive` are joined by paths inside `alive`:
+// breadth-first search over masks from its lowest node.
+bool connected(const LinkGraph& g, Mask alive) {
+  Mask seen = alive & (~alive + 1);
+  Mask frontier = seen;
+  while (frontier != 0) {
+    Mask next = 0;
+    for (Mask f = frontier; f != 0; f &= f - 1) next |= g.adj[std::countr_zero(f)];
+    frontier = next & alive & ~seen;
+    seen |= frontier;
+  }
+  return seen == alive;
+}
+
+bool complete(const LinkGraph& g) {
+  for (std::size_t v = 0; v < g.n; ++v)
+    if ((g.adj[v] | bit(v) | ~all_nodes(g.n)) != ~Mask{0}) return false;
+  return true;
+}
+
+// Whether `alive` stays connected after deleting any `k` of its nodes
+// numbered `from` or above.
+bool survives_deletions(const LinkGraph& g, Mask alive, std::size_t from, std::size_t k) {
+  if (k == 0) return connected(g, alive);
+  for (std::size_t v = from; v < g.n; ++v)
+    if (!survives_deletions(g, alive & ~bit(v), v + 1, k - 1)) return false;
+  return true;
+}
+
+// Vertex k-connectivity; for n <= k the graph must be complete.
+bool k_connected(const LinkGraph& g, std::size_t k) {
+  if (g.n <= k) return complete(g);
+  const Mask all = all_nodes(g.n);
+  return connected(g, all) && (k <= 1 || survives_deletions(g, all, 0, k - 1));
 }
 
 // (2,3) pebble game. Each vertex starts with 2 pebbles. To insert an edge we
 // must gather 4 pebbles on its endpoints (enforcing the "no subgraph with
 // more than 2n'-3 edges" condition); inserting consumes one pebble and
-// orients the edge away from the vertex that paid it.
+// orients the edge away from the vertex that paid it. So vertex v holds
+// 2 - deg_[v] pebbles, and its out-edges fit in out_[v][0..1].
 class PebbleGame {
  public:
-  explicit PebbleGame(std::size_t n) : n_(n), pebbles_(n, 2), out_(n) {}
-
   // Try to add edge (u, v) as independent. Returns false if dependent.
   bool add_edge(std::size_t u, std::size_t v) {
     if (u == v) return false;
-    while (pebbles_[u] + pebbles_[v] < 4) {
-      // Try to pull a pebble toward u or v by reversing a path.
-      if (!(pull(u, v) || pull(v, u))) return false;
+    while (deg_[u] + deg_[v] > 0) {
+      Mask visited_u = bit(u) | bit(v), visited_v = visited_u;
+      if (!(pull(u, visited_u) || pull(v, visited_v))) return false;
     }
-    // Pay one pebble at u; orient u -> v.
-    if (pebbles_[u] == 0) std::swap(u, v);
-    --pebbles_[u];
-    out_[u].push_back(v);
+    out_[u][deg_[u]++] = static_cast<std::uint8_t>(v);
     return true;
   }
 
  private:
-  // DFS from `root` (avoiding `other`) for a vertex with a free pebble; on
-  // success reverse the path, moving the pebble to `root`.
-  bool pull(std::size_t root, std::size_t other) {
-    std::vector<bool> visited(n_, false);
-    visited[root] = true;
-    visited[other] = true;
-    return dfs(root, visited);
-  }
-
-  bool dfs(std::size_t v, std::vector<bool>& visited) {
-    for (std::size_t i = 0; i < out_[v].size(); ++i) {
-      const std::size_t u = out_[v][i];
-      if (visited[u]) continue;
-      visited[u] = true;
-      if (pebbles_[u] > 0) {
-        --pebbles_[u];
-        ++pebbles_[v];
-        // Reverse edge v -> u into u -> v.
-        out_[v].erase(out_[v].begin() + static_cast<std::ptrdiff_t>(i));
-        out_[u].push_back(v);
-        return true;
-      }
-      if (dfs(u, visited)) {
-        // u just gained a pebble from deeper in the search; pass it to v.
-        --pebbles_[u];
-        ++pebbles_[v];
-        out_[v].erase(out_[v].begin() + static_cast<std::ptrdiff_t>(i));
-        out_[u].push_back(v);
+  // DFS from `v` along out-edges, outside `visited`, for a vertex with a free
+  // pebble; on success reverse the path, moving the pebble to `v`.
+  bool pull(std::size_t v, Mask& visited) {
+    for (std::size_t s = 0; s < deg_[v]; ++s) {
+      const std::size_t u = out_[v][s];
+      if (visited & bit(u)) continue;
+      visited |= bit(u);
+      if (deg_[u] < 2 || pull(u, visited)) {
+        out_[v][s] = out_[v][--deg_[v]];
+        out_[u][deg_[u]++] = static_cast<std::uint8_t>(v);
         return true;
       }
     }
     return false;
   }
 
-  std::size_t n_;
-  std::vector<int> pebbles_;
-  std::vector<std::vector<std::size_t>> out_;
+  std::array<std::uint8_t, kMaxDevices> deg_{};
+  std::array<std::array<std::uint8_t, 2>, kMaxDevices> out_{};
 };
+
+// The most independent edges a graph on n nodes holds.
+constexpr std::size_t full_rank(std::size_t n) { return n < 2 ? 0 : 2 * n - 3; }
+
+// Plays every edge but edges[skip] in order and returns the rank; stops at
+// the full rank, past which every edge is dependent. `basis`, if given,
+// receives the indices of the independent edges.
+std::size_t play(std::size_t n, const std::vector<Edge>& edges, std::size_t skip,
+                 std::size_t* basis) {
+  PebbleGame game;
+  std::size_t rank = 0;
+  for (std::size_t i = 0; i < edges.size() && rank < full_rank(n); ++i)
+    if (i != skip && game.add_edge(edges[i].first, edges[i].second)) {
+      if (basis != nullptr) basis[rank] = i;
+      ++rank;
+    }
+  return rank;
+}
+
+// Rank 2n - 3 without any one edge. Dropping an edge outside the first
+// game's basis keeps that basis, so only basis edges are replayed.
+bool redundantly_rigid(std::size_t n, const std::vector<Edge>& edges) {
+  std::array<std::size_t, full_rank(kMaxDevices)> basis{};
+  if (play(n, edges, edges.size(), basis.data()) < full_rank(n)) return false;
+  for (std::size_t b = 0; b < full_rank(n); ++b)
+    if (play(n, edges, basis[b], nullptr) < full_rank(n)) return false;
+  return true;
+}
 
 }  // namespace
 
 bool is_connected(std::size_t n, const std::vector<Edge>& edges) {
-  if (n == 0) return true;
-  const auto adj = adjacency(n, edges);
-  return connected_excluding(n, adj, std::vector<bool>(n, false));
+  return k_connected(graph_of(n, edges), 1);
+}
+
+bool is_connected(const Matrix& w) {
+  LinkGraph g;
+  g.n = w.rows();
+  if (g.n > kMaxDevices || w.cols() != g.n)
+    throw std::invalid_argument("is_connected: weights not square or above kMaxDevices nodes");
+  for (std::size_t i = 0; i < g.n; ++i)
+    for (std::size_t j = 0; j < g.n; ++j)
+      if (w(i, j) > 0.0) g.adj[i] |= bit(j);
+  return k_connected(g, 1);
 }
 
 bool is_k_connected(std::size_t n, const std::vector<Edge>& edges, std::size_t k) {
-  if (n <= k) {
-    // Complete-graph convention: K_n is (n-1)-connected at most.
-    std::vector<Edge> sorted = edges;
-    std::sort(sorted.begin(), sorted.end());
-    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-    return sorted.size() == n * (n - 1) / 2;
-  }
-  const auto adj = adjacency(n, edges);
-  if (!connected_excluding(n, adj, std::vector<bool>(n, false))) return false;
-  if (k <= 1) return true;
-
-  // Delete every subset of k-1 vertices.
-  std::vector<std::size_t> subset(k - 1);
-  std::function<bool(std::size_t, std::size_t)> recurse =
-      [&](std::size_t depth, std::size_t start) -> bool {
-    if (depth == k - 1) {
-      std::vector<bool> removed(n, false);
-      for (std::size_t v : subset) removed[v] = true;
-      return connected_excluding(n, adj, removed);
-    }
-    for (std::size_t v = start; v < n; ++v) {
-      subset[depth] = v;
-      if (!recurse(depth + 1, v + 1)) return false;
-    }
-    return true;
-  };
-  return recurse(0, 0);
+  return k_connected(graph_of(n, edges), k);
 }
 
 std::size_t rigidity_rank(std::size_t n, const std::vector<Edge>& edges) {
-  PebbleGame game(n);
-  std::size_t rank = 0;
-  for (const Edge& e : edges)
-    if (game.add_edge(e.first, e.second)) ++rank;
-  return rank;
+  check_graph(n, edges);
+  return play(n, edges, edges.size(), nullptr);
 }
 
 bool is_rigid_2d(std::size_t n, const std::vector<Edge>& edges) {
-  if (n <= 1) return true;
-  if (n == 2) return !edges.empty();
-  return rigidity_rank(n, edges) == 2 * n - 3;
+  return rigidity_rank(n, edges) == full_rank(n);
 }
 
 bool is_redundantly_rigid_2d(std::size_t n, const std::vector<Edge>& edges) {
-  if (!is_rigid_2d(n, edges)) return false;
-  for (std::size_t drop = 0; drop < edges.size(); ++drop) {
-    std::vector<Edge> remaining;
-    remaining.reserve(edges.size() - 1);
-    for (std::size_t i = 0; i < edges.size(); ++i)
-      if (i != drop) remaining.push_back(edges[i]);
-    if (!is_rigid_2d(n, remaining)) return false;
-  }
-  return true;
+  check_graph(n, edges);
+  return redundantly_rigid(n, edges);
 }
 
 bool is_uniquely_realizable_2d(std::size_t n, const std::vector<Edge>& edges) {
+  const LinkGraph g = graph_of(n, edges);
   if (n <= 2) return true;
-  if (n == 3) return edges.size() >= 3 && is_connected(n, edges);
-  return is_redundantly_rigid_2d(n, edges) && is_k_connected(n, edges, 3);
+  if (n == 3) return complete(g);
+  // 3-connectivity first: it rejects most graphs for less.
+  return k_connected(g, 3) && redundantly_rigid(n, edges);
 }
 
 }  // namespace uwp::core

@@ -5,6 +5,10 @@
 // counterpart of Laman's theorem; the outlier-detection loop uses these
 // predicates to refuse to drop link subsets that would make the topology
 // ambiguous.
+//
+// Every check keeps one 64-bit neighbour mask per node and allocates
+// nothing. Each throws std::invalid_argument for more than kMaxDevices nodes
+// or an edge endpoint >= n. Duplicate edges and self-loops are allowed.
 #pragma once
 
 #include <cstddef>
@@ -15,16 +19,22 @@
 
 namespace uwp::core {
 
-using Edge = std::pair<std::size_t, std::size_t>;
+// Most devices a localization round takes: the width of a neighbour mask.
+// The spec and wire caps (sim::kMaxGroupSize, fleet::kMaxWireDevices) equal it.
+inline constexpr std::size_t kMaxDevices = 64;
 
-// Undirected edge list from a symmetric weight matrix (w > 0 means present).
-std::vector<Edge> edges_from_weights(const Matrix& w);
+using Edge = std::pair<std::size_t, std::size_t>;
 
 // Connectivity of the graph on `n` nodes.
 bool is_connected(std::size_t n, const std::vector<Edge>& edges);
 
+// Whether the w(i, j) > 0 links of the square, symmetric weight matrix `w`
+// join all of its nodes (the diagonal is ignored).
+bool is_connected(const Matrix& w);
+
 // Vertex k-connectivity: the graph stays connected after deleting any k-1
-// vertices. Brute force over deletion sets — fine for dive-group sizes.
+// vertices. Brute force over deletion sets — fine for dive-group sizes. For
+// n <= k the graph must be complete (K_n is (n-1)-connected at most).
 bool is_k_connected(std::size_t n, const std::vector<Edge>& edges, std::size_t k);
 
 // Generic 2D rigidity via the (2,3) pebble game: true iff the edge set

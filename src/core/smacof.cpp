@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "core/rigidity.hpp"
 #include "util/linalg.hpp"
 #include "util/simd_kernels.hpp"
 
@@ -145,25 +146,6 @@ void build_v(const Matrix& w, Matrix& v) {
   }
 }
 
-// True when the w > 0 links join all n nodes (breadth-first search from
-// node 0). Then V, symmetric with zero row sums, has null space exactly
-// span(1), and V + 11^T/n is nonsingular.
-bool links_connected(const Matrix& w, SmacofWorkspace& ws) {
-  const std::size_t n = w.rows();
-  ws.seen.assign(n, 0);
-  ws.bfs.assign(1, 0);
-  ws.seen[0] = 1;
-  for (std::size_t head = 0; head < ws.bfs.size(); ++head) {
-    const std::span<const double> row = w.row(ws.bfs[head]);
-    for (std::size_t j = 0; j < n; ++j)
-      if (row[j] > 0.0 && !ws.seen[j]) {
-        ws.seen[j] = 1;
-        ws.bfs.push_back(static_cast<std::uint32_t>(j));
-      }
-  }
-  return ws.bfs.size() == n;
-}
-
 // V^+ = (V + 11^T/n)^-1 - 11^T/n for connected weights, into the zeroed
 // padded plane: A = V + 11^T/n = L L^T (Cholesky, L in the lower triangle of
 // ws.v), M = L^-1 (lower triangle of ws.v_pinv), A^-1 = M^T M. False, with
@@ -223,7 +205,7 @@ const double* smacof_v_pinv(const Matrix& w, SmacofWorkspace& ws) {
   const std::size_t np = simd::padded(n);
   ws.vp_pad.assign(np * np, 0.0);
   double* const plane = ws.vp_pad.data();
-  if (n > 0 && links_connected(w, ws) && cholesky_v_pinv(w, ws, plane)) return plane;
+  if (n > 0 && is_connected(w) && cholesky_v_pinv(w, ws, plane)) return plane;
   // Disconnected graphs: the pseudo-inverse handles every zero eigenvalue,
   // one per connected component.
   build_v(w, ws.v);

@@ -70,8 +70,6 @@ struct SmacofWorkspace {
   Matrix v, v_pinv;                // V and V^+, or Cholesky L and L^-1
   LinkSoA links;                   // per-call link SoA
   std::vector<double> vp_pad;      // padded V^+ plane
-  std::vector<std::uint32_t> bfs;  // link-graph search queue
-  std::vector<std::uint8_t> seen;  // link-graph search marks
   std::vector<double> x, y;        // SoA iterate (padded, pad lanes zero)
   std::vector<double> bx_x, bx_y;  // B(X) X product (padded)
   std::vector<double> b_pad;       // padded Guttman B matrix
@@ -85,12 +83,13 @@ struct SmacofWorkspace {
 // V^+ of the Guttman transform for the symmetric weights `w`: the
 // pseudo-inverse of V = diag(sum_j w_ij) - W as a padded row-major plane of
 // row stride simd::padded(n), pad entries exactly zero. When the w > 0 links
-// join every node (checked exactly, by a graph search), V's null space is
+// join every node (checked exactly, by is_connected), V's null space is
 // exactly the constant vector and V^+ = (V + 11^T/n)^-1 - 11^T/n comes from a
 // scalar Cholesky factorization. A disconnected graph, or weights whose
 // factorization breaks down (non-finite ones, or negative ones that leave
 // V + 11^T/n indefinite), takes the Jacobi pseudo_inverse_symmetric path,
 // bit for bit. The diagonal of `w` is ignored. The pointer is valid until the next call with this workspace.
+// Throws std::invalid_argument above kMaxDevices nodes.
 const double* smacof_v_pinv(const Matrix& w, SmacofWorkspace& ws);
 
 // Workspace variant of smacof_2d: bit-identical results, all scratch in `ws`

@@ -14,8 +14,6 @@ const char* to_string(AdmissionPolicy policy) {
   switch (policy) {
     case AdmissionPolicy::kAdmitAll:
       return "admit-all";
-    case AdmissionPolicy::kShed:
-      return "shed";
     case AdmissionPolicy::kDefer:
       return "defer";
   }

@@ -42,11 +42,10 @@ enum class AdmissionPolicy : std::uint8_t {
   // equivalent path; a server run in this mode is bit-identical to the
   // synchronous service on the same workload).
   kAdmitAll = 0,
-  // Over-rate or queue-full measurement rounds are shed: the session's
-  // tracker coasts through them, exactly like a device-side dropout.
-  kShed = 1,
   // The shaper proper: held frames retry defer_delay_s later (preserving
   // per-session order), and shed only after max_defers failed attempts.
+  // A shed round's tracker coasts, exactly like a device-side dropout;
+  // max_defers = 0 sheds every over-rate or queue-full round at once.
   kDefer = 2,
 };
 const char* to_string(AdmissionPolicy policy);

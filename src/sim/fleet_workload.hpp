@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/rigidity.hpp"
 #include "pipeline/arrival_error.hpp"
 #include "pipeline/closed_form.hpp"
 
@@ -81,8 +82,10 @@ struct WorkloadParams {
   int force_kind = -1;
 };
 
-// Largest group the generator builds: the fleet wire codec's device cap.
-inline constexpr std::size_t kMaxGroupSize = 512;
+// Largest group the generator builds: the fleet wire codec's device cap and
+// the spec's, which must be the most devices a localization round takes.
+inline constexpr std::size_t kMaxGroupSize = 64;
+static_assert(kMaxGroupSize == core::kMaxDevices);
 
 // Why `params` cannot be generated, or nullptr when they can. Rejects group
 // sizes outside [4, kMaxGroupSize], empty round ranges, round bounds or an

@@ -118,7 +118,8 @@ ScenarioSpec random_spec(uwp::Rng& rng, bool include_nan) {
   s.fleet.server.tick_period_s = rng.uniform(0.1, 5.0);
   s.fleet.server.transport_capacity = static_cast<std::size_t>(rng.uniform_int(1, 512));
   auto& shaping = s.fleet.server.options.shaping;
-  shaping.policy = static_cast<fleet::AdmissionPolicy>(rng.uniform_int(0, 2));
+  shaping.policy = rng.uniform_int(0, 1) == 0 ? fleet::AdmissionPolicy::kAdmitAll
+                                              : fleet::AdmissionPolicy::kDefer;
   shaping.ingest_shards = static_cast<std::size_t>(rng.uniform_int(1, 16));
   shaping.queue_depth = static_cast<std::size_t>(rng.uniform_int(1, 64));
   shaping.drain_rounds_per_s = rng.uniform(0.5, 64.0);
@@ -226,6 +227,9 @@ TEST(SpecParse, UnknownAndMistypedFieldsFailWithPaths) {
   expect_parse_error(R"({"des": {"motion": [{"axis": "up"}]}})", "des.motion[0].axis");
   expect_parse_error(R"({"fleet": {"workload": {"kind_mix": "chaotic"}}})",
                      "fleet.workload.kind_mix");
+  // "shed" is no policy: defer with max_defers = 0 sheds the same rounds.
+  expect_parse_error(R"({"fleet": {"server": {"shaping": {"policy": "shed"}}}})",
+                     "fleet.server.shaping.policy");
   expect_parse_error(R"({"sweep": {"trials": -3}})", "sweep.trials");
   expect_parse_error(R"({"sweep": 17})", "sweep");
   expect_parse_error(R"({"telemetry": {"window": 4}})", "telemetry.window");
@@ -304,17 +308,18 @@ TEST(SpecValidate, EachRejectedFieldReportsItsPath) {
     s.deployment.preset = DeploymentPreset::kExplicit;
     expect_invalid(s, "deployment.positions");
   }
-  for (const std::size_t devices : {std::size_t{513}, std::size_t{20000}}) {
+  for (const std::size_t devices :
+       {std::size_t{65}, std::size_t{513}, std::size_t{20000}}) {
     // Above the wire codec's device cap: every driver sizes n x n matrices
     // from the deployment's device count.
     ScenarioSpec s;
     s.protocol.num_devices = devices;
     s.deployment.preset = DeploymentPreset::kAnalytical;
     s.deployment.devices = devices;
-    expect_invalid(s, "deployment.devices");
+    expect_invalid(s, "deployment.devices: must be <= 64");
     s.deployment.preset = DeploymentPreset::kExplicit;
     s.deployment.positions.assign(devices, Vec3{0, 0, 1});
-    expect_invalid(s, "deployment.positions");
+    expect_invalid(s, "deployment.positions: must be <= 64");
   }
   {
     ScenarioSpec s;  // positions on a non-explicit preset
@@ -461,12 +466,13 @@ TEST(SpecValidate, EachRejectedFieldReportsItsPath) {
     s.fleet.workload.max_group_size = 3;  // < min (4)
     expect_invalid(s, "fleet.workload.max_group_size");
   }
-  for (const std::size_t devices : {std::size_t{513}, std::size_t{1} << 20}) {
+  for (const std::size_t devices :
+       {std::size_t{65}, std::size_t{513}, std::size_t{1} << 20}) {
     // Above the wire codec's device cap: the generator would size n x n
     // matrices from it.
     ScenarioSpec s;
     s.fleet.workload.max_group_size = devices;
-    expect_invalid(s, "fleet.workload.max_group_size");
+    expect_invalid(s, "fleet.workload.max_group_size: must be <= 64");
   }
   {
     ScenarioSpec s;

@@ -181,6 +181,11 @@ TEST(Localizer, InputValidation) {
   in.weights = Matrix(3, 3);
   in.depths = {0.0, 1.0};  // wrong length
   EXPECT_THROW(loc.localize(in, rng), std::invalid_argument);
+
+  in.distances = Matrix(kMaxDevices + 1, kMaxDevices + 1);
+  in.weights = Matrix(kMaxDevices + 1, kMaxDevices + 1);
+  in.depths.assign(kMaxDevices + 1, 0.0);
+  EXPECT_THROW(loc.localize(in, rng), std::invalid_argument);
 }
 
 TEST(Localizer, ThreeDeviceMinimumGroup) {

@@ -366,7 +366,8 @@ TEST(FleetRecordReplay, TamperedWorkloadHeaderFailsAsWireErrorNotBadAlloc) {
   constexpr std::uint64_t kAboveInt64 = std::uint64_t{1} << 63;
   const std::vector<std::pair<std::size_t, std::uint64_t>> tampered = {
       {kMaxGroup, 100000},          {kMaxGroup, std::uint64_t{1} << 20},
-      {kMaxGroup, 513},             {kMaxGroup, kAboveInt64},
+      {kMaxGroup, 65},              {kMaxGroup, 513},
+      {kMaxGroup, kAboveInt64},
       {kMaxGroup, 3},               {kMinGroup, 3},
       {kMinRounds, 0},              {kMaxRounds, 1},
       {kMaxRounds, kAboveInt64},    {kSpread, kAboveInt64},
@@ -384,9 +385,11 @@ TEST(FleetRecordReplay, TamperedWorkloadHeaderFailsAsWireErrorNotBadAlloc) {
   FleetTrace bad = recorder.trace();
   bad.workload.max_group_size = std::size_t{1} << 20;
   EXPECT_THROW(Replayer(std::move(bad)), WireError);
-  sim::WorkloadParams wide = params;
-  wide.max_group_size = 513;
-  EXPECT_THROW(sim::make_group_scenario(wide, 0), std::invalid_argument);
+  for (const std::size_t devices : {std::size_t{65}, std::size_t{513}}) {
+    sim::WorkloadParams wide = params;
+    wide.max_group_size = devices;
+    EXPECT_THROW(sim::make_group_scenario(wide, 0), std::invalid_argument);
+  }
   sim::WorkloadParams spread = params;
   spread.admit_spread_ticks = kAboveInt64;
   EXPECT_THROW(sim::make_group_scenario(spread, 0), std::invalid_argument);

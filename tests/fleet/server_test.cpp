@@ -257,7 +257,8 @@ TEST(FleetServer, BackpressureShedsDeterministically) {
   ServerOptions so;
   so.master_seed = 0x31u;
   so.workers = 2;
-  so.shaping.policy = AdmissionPolicy::kShed;
+  so.shaping.policy = AdmissionPolicy::kDefer;
+  so.shaping.max_defers = 0;  // shed on the first failed admission
   so.shaping.ingest_shards = 2;
   so.shaping.queue_depth = 3;  // tiny modeled queue: guaranteed overload
   so.shaping.drain_rounds_per_s = 2.0;
@@ -289,7 +290,8 @@ TEST(FleetServer, RecordedServedRunReplaysBitIdentically) {
   ServerOptions so;
   so.master_seed = 0xCAFEu;
   so.workers = 0;
-  so.shaping.policy = AdmissionPolicy::kShed;
+  so.shaping.policy = AdmissionPolicy::kDefer;
+  so.shaping.max_defers = 0;  // shed on the first failed admission
   so.shaping.ingest_shards = 2;
   so.shaping.queue_depth = 6;
   so.shaping.drain_rounds_per_s = 4.0;
@@ -313,7 +315,8 @@ TEST(FleetServer, ScheduleVerifierCatchesTampering) {
   ServerOptions so;
   so.master_seed = 0x13u;
   so.workers = 2;
-  so.shaping.policy = AdmissionPolicy::kShed;
+  so.shaping.policy = AdmissionPolicy::kDefer;
+  so.shaping.max_defers = 0;  // shed on the first failed admission
   so.shaping.ingest_shards = 2;
   so.shaping.queue_depth = 4;
   so.shaping.drain_rounds_per_s = 3.0;

@@ -57,7 +57,8 @@ ShaperOptions one_partition(AdmissionPolicy policy) {
 // --- zero-capacity token bucket ---------------------------------------------
 
 TEST(ShaperEdge, ZeroCapacityBucketShedsEveryRound) {
-  ShaperOptions opts = one_partition(AdmissionPolicy::kShed);
+  ShaperOptions opts = one_partition(AdmissionPolicy::kDefer);
+  opts.max_defers = 0;  // shed on the first failed admission
   opts.rate_rounds_per_s = 4.0;
   opts.burst_rounds = 0.0;  // tokens can never reach one frame's worth
 

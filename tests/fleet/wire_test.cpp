@@ -231,13 +231,33 @@ TEST(WireCodec, MalformedHeadersAreRejected) {
     pos = 0;
     EXPECT_THROW(decode_round_record(bytes, pos, rr), WireError);
   }
-  {
-    // Absurd device count must be rejected before sizing any allocation.
+  for (const std::uint32_t devices : {65u, 513u, 1u << 20, 0xffffffffu}) {
+    // A device count past the cap must be rejected before sizing any
+    // allocation, not as a truncated record.
     std::vector<std::uint8_t> bad(bytes.begin(), bytes.begin() + 7);
-    put_u32(bad, 0xffffffffu);
+    put_u32(bad, devices);
     pos = 0;
-    EXPECT_THROW(decode_measurement(bad, pos, out), WireError);
+    try {
+      decode_measurement(bad, pos, out);
+      ADD_FAILURE() << "decoded " << devices << " devices";
+    } catch (const WireError& e) {
+      EXPECT_STREQ(e.what(), "wire: device count out of range") << devices;
+    }
   }
+}
+
+TEST(WireCodec, DeviceCapRoundTripsAndOneMoreIsRejected) {
+  uwp::Rng rng(12);
+  const pipeline::RoundMeasurement m = make_measurement(kMaxWireDevices, rng);
+  std::vector<std::uint8_t> bytes;
+  encode_measurement(m, bytes);
+  pipeline::RoundMeasurement back;
+  std::size_t pos = 0;
+  decode_measurement(bytes, pos, back);
+  EXPECT_EQ(pos, bytes.size());
+  EXPECT_TRUE(bit_equal(m, back));
+  EXPECT_THROW(encode_measurement(make_measurement(kMaxWireDevices + 1, rng), bytes),
+               std::invalid_argument);
 }
 
 TEST(WireCodec, EveryTruncationThrowsInsteadOfCrashing) {

@@ -9,6 +9,7 @@
 #include <limits>
 #include <memory>
 
+#include "fleet/wire.hpp"
 #include "pipeline/arrival_error.hpp"
 #include "pipeline/closed_form.hpp"
 #include "pipeline/round_pipeline.hpp"
@@ -202,34 +203,44 @@ TEST(RoundPipeline, HugeDtResetsTheTrackInsteadOfPoisoningIt) {
 // A NaN depth makes every projected distance of its device NaN. The round
 // must end localized=false with no positions, the tracker must coast
 // through it, and the next clean round localizes again.
+// A NaN or inf depth, as it arrives off the wire, fails its round: no
+// projected distance reads as a clamped 0 m.
 TEST(RoundPipeline, NonFiniteDistanceFailsTheRoundAndTheTrackerCoasts) {
   const ClosedFormScene scene = test_scene(8);
   ArrivalErrorModel arrival;
   arrival.detection_failure_prob = 0.0;
   PipelineOptions opts = test_options(scene);
   opts.track = true;
-  FastMeasurementModel model(scene, arrival);
-  RoundPipeline pipe(opts);
-  RoundMeasurement m;
-  Rng rng(51);
-  model.measure(m, rng);
-  ASSERT_TRUE(pipe.run_round(m, rng).localized);
-  const Vec2 before = pipe.tracker().track(3).position();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double depth : {std::nan(""), inf, -inf}) {
+    SCOPED_TRACE(depth);
+    FastMeasurementModel model(scene, arrival);
+    RoundPipeline pipe(opts);
+    RoundMeasurement m;
+    Rng rng(51);
+    model.measure(m, rng);
+    ASSERT_TRUE(pipe.run_round(m, rng).localized);
+    const Vec2 before = pipe.tracker().track(3).position();
 
-  model.measure(m, rng);
-  m.depths[3] = std::nan("");
-  const RoundOutput& bad = pipe.run_round(m, rng, 1.0);
-  EXPECT_FALSE(bad.localized);
-  for (std::size_t i = 1; i < 8; ++i) EXPECT_TRUE(std::isnan(bad.error_2d[i]));
-  // Coasting: the track moved only by its motion model, and stays finite.
-  const Vec2 coasted = pipe.tracker().track(3).position();
-  EXPECT_TRUE(std::isfinite(coasted.x) && std::isfinite(coasted.y));
-  EXPECT_LT(distance(coasted, before), 1.0);
+    model.measure(m, rng);
+    m.depths[3] = depth;
+    std::vector<std::uint8_t> bytes;
+    fleet::encode_measurement(m, bytes);
+    std::size_t pos = 0;
+    fleet::decode_measurement(bytes, pos, m);
+    const RoundOutput& bad = pipe.run_round(m, rng, 1.0);
+    EXPECT_FALSE(bad.localized);
+    for (std::size_t i = 1; i < 8; ++i) EXPECT_TRUE(std::isnan(bad.error_2d[i]));
+    // Coasting: the track moved only by its motion model, and stays finite.
+    const Vec2 coasted = pipe.tracker().track(3).position();
+    EXPECT_TRUE(std::isfinite(coasted.x) && std::isfinite(coasted.y));
+    EXPECT_LT(distance(coasted, before), 1.0);
 
-  model.measure(m, rng);
-  const RoundOutput& next = pipe.run_round(m, rng, 1.0);
-  ASSERT_TRUE(next.localized);
-  for (std::size_t i = 1; i < 8; ++i) EXPECT_LT(next.error_2d[i], 10.0);
+    model.measure(m, rng);
+    const RoundOutput& next = pipe.run_round(m, rng, 1.0);
+    ASSERT_TRUE(next.localized);
+    for (std::size_t i = 1; i < 8; ++i) EXPECT_LT(next.error_2d[i], 10.0);
+  }
 }
 
 // Every result of a round as bits, so NaN entries compare equal too.
